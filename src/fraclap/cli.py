@@ -15,23 +15,30 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import re
 import sys
 import time
 
 import numpy as np
 
 from . import multi_interval, sobolev_metrics
-from .gegenbauer import evaluate_expansion
+from .gegenbauer import eval_gegenbauer, evaluate_expansion
 from .multi_interval import Domain
 from .operator_core import monomial_operator_matrix
 from .oracle import PVConfig, pv_apply, weighted_mode
 from .problem import ProblemSpec, resolve_rhs
-from .specfun import DomainError, eigenvalue_lambda
-from .gegenbauer import eval_gegenbauer, gegenbauer_norm_h
+from .specfun import DomainError, eigenvalue_lambda, gegenbauer_norm_h
 
 
 class ConfigError(Exception):
     pass
+
+
+# Tokens argparse must read as negative numbers rather than options:
+# its default pattern misses exponent notation such as -2e0 or -1e-1.
+# argparse has no public setting for it, so each subcommand parser's
+# internal matcher is replaced.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _fmt(v: float) -> str:
@@ -53,28 +60,44 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="fraclap", help="output path prefix")
 
     for name in ("solve", "convergence", "eigencheck"):
-        add_common(sub.add_parser(name))
+        p = sub.add_parser(name)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
+        add_common(p)
     return parser
 
 
 def _load_config(path):
     cfg = configparser.ConfigParser()
-    read = cfg.read(path)
+    try:
+        read = cfg.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config file {path!r}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
+    try:
+        return _config_values(cfg)
+    except ValueError as exc:
+        raise ConfigError(f"config file {path!r}: {exc}") from exc
+
+
+def _config_values(cfg):
     out = {}
     if cfg.has_section("problem"):
         sec = cfg["problem"]
         for key in ("s", "gmres_tol"):
             if key in sec:
                 out[key] = float(sec[key])
-        for key in ("rhs", "n", "ref_n"):
+        for key in ("rhs", "n"):
             if key in sec:
                 out[key] = sec[key]
+        if "ref_n" in sec:
+            out["ref_n"] = int(sec["ref_n"])
     intervals = []
     for section in cfg.sections():
         if section.startswith("interval"):
             sec = cfg[section]
+            if "a" not in sec or "b" not in sec:
+                raise ConfigError(f"section [{section}] needs both a and b")
             intervals.append((float(sec["a"]), float(sec["b"])))
     if intervals:
         out["intervals"] = intervals
@@ -82,7 +105,10 @@ def _load_config(path):
 
 
 def _parse_n(raw):
-    parts = [int(v) for v in str(raw).split(",")]
+    try:
+        parts = [int(v) for v in str(raw).split(",")]
+    except ValueError:
+        raise ConfigError(f"n must be an integer or a comma list of integers, got {raw!r}") from None
     return parts[0] if len(parts) == 1 else tuple(parts)
 
 
@@ -285,7 +311,8 @@ def main(argv=None) -> int:
             s_list = args.s or [0.1, 0.25, 0.5, 0.75, 0.9]
             nmax = 4
             if args.n is not None:
-                nmax = int(str(args.n).split(",")[0])
+                n = _parse_n(args.n)
+                nmax = n if isinstance(n, int) else n[0]
             return cmd_eigencheck(s_list, nmax, args.out)
         if args.command == "solve":
             spec, _, _ = _resolve(args)

@@ -8,20 +8,23 @@ distinct intervals).  The discrete system is the second-kind equation
 
     (I + K^-1 R) Y = K^-1 F
 
-over the concatenated node values Y of phi, solved matrix-free by
-GMRES; iteration counts stay bounded as the resolution grows.
+over the concatenated node values Y of phi.  Once (domain, s, N) is
+fixed the discrete operator is a constant: it is assembled once per
+solve (one Gegenbauer table per distinct resolution, one kernel block
+per pair of intervals) and GMRES only applies it; iteration counts stay
+bounded as the resolution grows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .gegenbauer import GegenbauerCoeffs, evaluate_expansion, forward_transform
-from .operator_core import NormConstants, solve_diagonal
-from .quadrature import QuadratureRule, gauss_jacobi, map_to_interval
-from .specfun import DomainError, s_value
+from .gegenbauer import GegenbauerCoeffs, eval_gegenbauer_batch, norm_vector
+from .operator_core import NormConstants
+from .quadrature import gauss_jacobi, map_to_interval
+from .specfun import DomainError, eigenvalue_lambda, s_value
 
 
 @dataclass(frozen=True)
@@ -71,48 +74,56 @@ class GMRESResult:
     converged: bool
 
 
+def _coupling_kernels(rules, sv):
+    """The kernel |x - y|^{-1-2s} between the nodes of each pair of
+    rules j < l, as (j, l, block) with block[i, k] = |x_i^(j) - y_k^(l)|^{-1-2s}.
+    The pair's other direction is the transpose, so it is not stored.
+    """
+    return [
+        (j, ell, np.abs(rules[j].nodes[:, None] - rules[ell].nodes[None, :]) ** (-1.0 - 2.0 * sv))
+        for j in range(len(rules))
+        for ell in range(j + 1, len(rules))
+    ]
+
+
+def _apply_coupling(kernels, weighted, c1):
+    """-C_1 sum_{l != j} K_jl v_l for every interval j, from the blocks
+    of _coupling_kernels (K_lj = K_jl^T) and the weighted values v_l."""
+    acc = [np.zeros(v.size) for v in weighted]
+    for j, ell, kernel in kernels:
+        acc[j] += kernel @ weighted[ell]
+        acc[ell] += kernel.T @ weighted[j]
+    return [-c1 * a for a in acc]
+
+
 def apply_offdiagonal(phi, rules, s):
     """Values of R_s phi at every node: for x = y_k^(j),
 
         sum_{l != j} sum_i  -C_1(s) |x - y_i^(l)|^{-1-2s} phi(y_i^(l)) w_i^(l),
 
     where the mapped Gauss-Jacobi weights w already carry the edge
-    weight omega^s.  Returns a list of per-interval value vectors.
-
-    phi entries may be node-value vectors (matching each rule) or
-    GegenbauerCoeffs, which are then evaluated at the rule nodes.
+    weight omega^s.  phi holds one node-value vector per rule.  Returns
+    a list of per-interval value vectors.
     """
     sv = s_value(s)
     if len(phi) != len(rules):
         raise ValueError("need one phi block per quadrature rule")
-    values = []
+    weighted = []
     for block, rule in zip(phi, rules):
-        if isinstance(block, GegenbauerCoeffs):
-            values.append(np.asarray(evaluate_expansion(block, rule.nodes), dtype=float))
-        else:
-            block = np.asarray(block, dtype=float)
-            if block.size != len(rule):
-                raise ValueError("phi node values do not match rule size")
-            values.append(block)
-    c1 = NormConstants.for_s(sv).c1
-    out = []
-    for j, rule_j in enumerate(rules):
-        acc = np.zeros(len(rule_j))
-        x = rule_j.nodes[:, None]
-        for ell, rule_l in enumerate(rules):
-            if ell == j:
-                continue
-            gap_kernel = np.abs(x - rule_l.nodes[None, :]) ** (-1.0 - 2.0 * sv)
-            acc += gap_kernel @ (values[ell] * rule_l.weights)
-        out.append(-c1 * acc)
-    return out
+        block = np.asarray(block, dtype=float)
+        if block.size != len(rule):
+            raise ValueError("phi node values do not match rule size")
+        weighted.append(block * rule.weights)
+    return _apply_coupling(_coupling_kernels(rules, sv), weighted, NormConstants.for_s(sv).c1)
 
 
 def gmres(apply_A, rhs, tol: float = 1e-13, maxit: int | None = None) -> GMRESResult:
     """Matrix-free GMRES: full orthogonalization (no restart), modified
     Gram-Schmidt, Givens-rotation least squares.  The history holds the
     relative residual after each iteration (starting at 1); happy
-    breakdown counts as convergence.
+    breakdown counts as convergence.  The Hessenberg matrix grows by one
+    column per iteration, so storage follows the iterations taken, not
+    maxit.
     """
     b = np.asarray(rhs, dtype=float)
     n = b.size
@@ -123,48 +134,81 @@ def gmres(apply_A, rhs, tol: float = 1e-13, maxit: int | None = None) -> GMRESRe
         return GMRESResult(np.zeros(n), 0, np.array([0.0]), True)
 
     basis = [b / normb]
-    H = np.zeros((maxit + 1, maxit))
-    cs = np.zeros(maxit)
-    sn = np.zeros(maxit)
-    g = np.zeros(maxit + 1)
-    g[0] = normb
+    columns = []  # column k of the rotated Hessenberg matrix, length k+2
+    cs = []
+    sn = []
+    g = [normb]
     history = [1.0]
-    k_done = 0
     for k in range(maxit):
         w = np.asarray(apply_A(basis[k]), dtype=float)
+        h = np.zeros(k + 2)
         for i in range(k + 1):
-            H[i, k] = np.dot(basis[i], w)
-            w = w - H[i, k] * basis[i]
-        H[k + 1, k] = np.linalg.norm(w)
-        breakdown = H[k + 1, k] <= 1e-15 * normb
+            h[i] = np.dot(basis[i], w)
+            w = w - h[i] * basis[i]
+        h[k + 1] = np.linalg.norm(w)
+        breakdown = h[k + 1] <= 1e-15 * normb
         if not breakdown:
-            basis.append(w / H[k + 1, k])
+            basis.append(w / h[k + 1])
         # apply accumulated rotations to the new column, then a fresh one
         for i in range(k):
-            hi = cs[i] * H[i, k] + sn[i] * H[i + 1, k]
-            H[i + 1, k] = -sn[i] * H[i, k] + cs[i] * H[i + 1, k]
-            H[i, k] = hi
-        r = np.hypot(H[k, k], H[k + 1, k])
-        cs[k] = H[k, k] / r
-        sn[k] = H[k + 1, k] / r
-        H[k, k] = r
-        H[k + 1, k] = 0.0
-        g[k + 1] = -sn[k] * g[k]
+            hi = cs[i] * h[i] + sn[i] * h[i + 1]
+            h[i + 1] = -sn[i] * h[i] + cs[i] * h[i + 1]
+            h[i] = hi
+        r = np.hypot(h[k], h[k + 1])
+        cs.append(h[k] / r)
+        sn.append(h[k + 1] / r)
+        h[k] = r
+        h[k + 1] = 0.0
+        g.append(-sn[k] * g[k])
         g[k] = cs[k] * g[k]
-        k_done = k + 1
+        columns.append(h)
         history.append(abs(g[k + 1]) / normb)
         if breakdown or history[-1] <= tol:
             break
 
-    y = np.linalg.solve(H[:k_done, :k_done], g[:k_done]) if k_done else np.zeros(0)
+    k_done = len(columns)
+    H = np.zeros((k_done, k_done))
+    for k, h in enumerate(columns):
+        H[: k + 1, k] = h[: k + 1]
+    y = np.linalg.solve(H, g[:k_done]) if k_done else np.zeros(0)
     x = np.zeros(n)
     for i in range(k_done):
         x += y[i] * basis[i]
     return GMRESResult(x, k_done, np.array(history), history[-1] <= tol)
 
 
+class _ReferenceBlock:
+    """K^-1 for every interval of resolution n, in the reference frame.
+
+    Holds the Gauss-Jacobi rule, the table T[j, i] = C_j^{(s+1/2)}(x_i)
+    at its nodes, the norms h_j and the eigenvalues lambda_j.  K^-1 is
+    interval-independent in this frame (affine scale invariance), so
+    all intervals of resolution n share one block.
+    """
+
+    def __init__(self, n: int, sv: float):
+        self.rule = gauss_jacobi(n, sv)
+        self.table = eval_gegenbauer_batch(n, sv + 0.5, self.rule.nodes)
+        self.norms = norm_vector(n, sv)
+        self.lam = np.array([eigenvalue_lambda(j, sv) for j in range(n + 1)])
+
+    def coeffs(self, values):
+        """Coefficients phi_j = f_j / lambda_j of K^-1 f, from the node values of f."""
+        return self.table @ (values * self.rule.weights) / self.norms / self.lam
+
+    def values(self, coeffs):
+        """Node values of sum_j c_j C~_j."""
+        return (coeffs / self.norms) @ self.table
+
+
 class _Discretization:
-    """Per-interval rules and the K^-1 / R actions on stacked node values."""
+    """The discrete operator of one solve, assembled once.
+
+    Intervals of equal resolution share a _ReferenceBlock, so K^-1 on a
+    block is two GEMVs with its table.  The coupling holds one kernel
+    block per pair of intervals j < l and applies its transpose for the
+    pair's other direction.
+    """
 
     def __init__(self, domain: Domain, s, n_per_interval):
         self.sv = s_value(s)
@@ -174,55 +218,54 @@ class _Discretization:
             raise ValueError("need one resolution per interval")
         if any(n < 1 for n in self.ns):
             raise DomainError("per-interval resolution must be >= 1")
-        self.ref_rules = [gauss_jacobi(n, self.sv) for n in self.ns]
+        shared = {n: _ReferenceBlock(n, self.sv) for n in dict.fromkeys(self.ns)}
+        self.refs = [shared[n] for n in self.ns]
         self.rules = [
-            map_to_interval(rule, a, b)
-            for rule, (a, b) in zip(self.ref_rules, domain.intervals)
+            map_to_interval(ref.rule, a, b) for ref, (a, b) in zip(self.refs, domain.intervals)
         ]
-        self.sizes = [len(r) for r in self.rules]
-        self.offsets = np.concatenate([[0], np.cumsum(self.sizes)])
+        self.offsets = np.concatenate([[0], np.cumsum([len(r) for r in self.rules])])
+        self.kernels = _coupling_kernels(self.rules, self.sv)
+        self.c1 = NormConstants.for_s(self.sv).c1
 
     def split(self, Y):
-        return [Y[self.offsets[j]: self.offsets[j + 1]] for j in range(len(self.sizes))]
+        return [Y[self.offsets[j]: self.offsets[j + 1]] for j in range(len(self.rules))]
 
-    def kinv_coeffs(self, blocks):
-        """Per-interval K^-1 applied to node-value blocks, as coefficients."""
-        out = []
-        for vals, rule, interval in zip(blocks, self.rules, self.domain.intervals):
-            f = forward_transform(vals, rule, self.sv, interval)
-            out.append(solve_diagonal(f))
-        return out
-
-    def coeffs_to_values(self, coeff_blocks):
-        return np.concatenate(
-            [evaluate_expansion(c, rule.nodes) for c, rule in zip(coeff_blocks, self.rules)]
-        )
+    def kinv_coeffs(self, Y):
+        """Per-interval coefficient vectors of K^-1 Y."""
+        return [ref.coeffs(v) for ref, v in zip(self.refs, self.split(Y))]
 
     def kinv(self, Y):
-        return self.coeffs_to_values(self.kinv_coeffs(self.split(Y)))
+        return np.concatenate([ref.values(c) for ref, c in zip(self.refs, self.kinv_coeffs(Y))])
 
     def offdiag(self, Y):
-        return np.concatenate(apply_offdiagonal(self.split(Y), self.rules, self.sv))
+        weighted = [v * rule.weights for v, rule in zip(self.split(Y), self.rules)]
+        return np.concatenate(_apply_coupling(self.kernels, weighted, self.c1))
+
+    def solution_blocks(self, coeff_blocks):
+        return tuple(
+            GegenbauerCoeffs(self.sv, interval, c)
+            for interval, c in zip(self.domain.intervals, coeff_blocks)
+        )
 
 
 def solve(spec) -> MultiSolution:
     """Solve the Dirichlet problem of the given ProblemSpec.
 
-    Builds per-interval Gauss-Jacobi rules, samples the right-hand side
-    at the nodes, and iterates GMRES on Y -> Y + K^-1 R Y.  With a
-    single interval the remainder vanishes and GMRES is skipped.
+    Assembles the discrete operator, samples the right-hand side at the
+    nodes, and iterates GMRES on Y -> Y + K^-1 R Y.  With a single
+    interval the remainder vanishes: the coefficients are K^-1 F and
+    GMRES is skipped.
     """
     disc = _Discretization(spec.domain, spec.s, spec.n_per_interval())
     F = np.concatenate([np.asarray(spec.rhs(rule.nodes), dtype=float) for rule in disc.rules])
-    rhs_vec = disc.kinv(F)
 
     if len(spec.domain) == 1:
-        blocks = disc.kinv_coeffs(disc.split(F))
-        return MultiSolution(disc.sv, tuple(blocks), 0, 0.0, np.array([0.0]))
+        blocks = disc.solution_blocks(disc.kinv_coeffs(F))
+        return MultiSolution(disc.sv, blocks, 0, 0.0, np.array([0.0]))
 
     result = gmres(
         lambda Y: Y + disc.kinv(disc.offdiag(Y)),
-        rhs_vec,
+        disc.kinv(F),
         tol=spec.gmres_tol,
         maxit=int(disc.offsets[-1]),
     )
@@ -234,12 +277,10 @@ def solve(spec) -> MultiSolution:
     # Final coefficients from the residual equation K phi = f - R Y,
     # which keeps the spectral (coefficient-space) representation exact
     # for the converged node values.
-    ry_blocks = disc.split(disc.offdiag(result.x))
-    f_blocks = disc.split(F)
-    blocks = disc.kinv_coeffs([f - r for f, r in zip(f_blocks, ry_blocks)])
+    blocks = disc.solution_blocks(disc.kinv_coeffs(F - disc.offdiag(result.x)))
     return MultiSolution(
         disc.sv,
-        tuple(blocks),
+        blocks,
         result.iterations,
         float(result.history[-1]),
         result.history,

@@ -21,6 +21,10 @@ from .specfun import DomainError, gegenbauer_norm_h
 # full-window fit by more than this flags faster-than-algebraic decay.
 _SUPER_ALGEBRAIC_MARGIN = 0.5
 
+# A relative error at or below this sits on the roundoff floor and
+# carries no convergence-order information.
+_ROUNDOFF_FLOOR = 1e-12
+
 
 def hrs_norm(c: GegenbauerCoeffs, r: float) -> float:
     """Norm (sum_j |c_j|^2 (1+j^2)^r)^{1/2} of the expansion."""
@@ -44,6 +48,10 @@ def error_between(c1: GegenbauerCoeffs, c2: GegenbauerCoeffs, r: float) -> float
     return hrs_norm(GegenbauerCoeffs(c1.s, c1.interval, d), r)
 
 
+def _slope_order(ns, errors) -> float:
+    return float(-np.polyfit(np.log(ns), np.log(errors), 1)[0])
+
+
 def fit_order(ns, errors) -> float:
     """Least-squares slope of log(err) against log(N), sign-flipped so
     that order p > 0 means err ~ N^-p.
@@ -56,22 +64,28 @@ def fit_order(ns, errors) -> float:
         raise ValueError("order fit needs strictly positive errors")
     if np.ptp(np.log(errors)) < 1e-12:
         raise ValueError("degenerate error sequence (constant); no order to fit")
-    slope = np.polyfit(np.log(ns), np.log(errors), 1)[0]
-    return float(-slope)
+    return _slope_order(ns, errors)
 
 
 def is_super_algebraic(ns, errors) -> bool:
-    """True when the local order keeps increasing with N: the fit over
-    the trailing half of the rows exceeds the full-window fit by more
-    than 0.5.  Exponential decay err ~ rho^-N always trips this.
+    """True when the local order keeps increasing with N: over the rows
+    above the roundoff floor (relative error 1e-12), the fit over their
+    trailing half exceeds the fit over all of them by more than 0.5.
+    Exponential decay err ~ rho^-N always trips this.  Rows on the floor
+    would flatten the trailing fit, so they are left out; fewer than 3
+    rows above it leave nothing to compare and read False.
     """
     ns = np.asarray(ns, dtype=float)
     errors = np.asarray(errors, dtype=float)
     if ns.size < 6:
         raise ValueError("super-algebraic detection needs at least 6 rows")
+    above = errors > _ROUNDOFF_FLOOR
+    ns, errors = ns[above], errors[above]
+    if ns.size < 3:
+        return False
     full = fit_order(ns, errors)
     half = ns.size // 2
-    tail = fit_order(ns[half:], errors[half:])
+    tail = _slope_order(ns[half:], errors[half:])
     return tail > full + _SUPER_ALGEBRAIC_MARGIN
 
 

@@ -154,3 +154,29 @@ def test_eigencheck_command(tmp_path, capsys):
     assert code == 0
     text = (tmp_path / "eig_eigencheck.txt").read_text()
     assert "PASS" in text and "FAIL" not in text
+
+
+def test_non_integer_n_exit_code(tmp_path, capsys):
+    code = run(["solve", "--n", "abc", "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "abc" in err and len(err.strip().splitlines()) == 1
+
+
+def test_config_interval_without_endpoint_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "problem.ini"
+    cfg.write_text("[problem]\ns = 0.5\n\n[interval.1]\na = -1\n")
+    code = run(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "[interval.1]" in err and len(err.strip().splitlines()) == 1
+
+
+def test_negative_endpoints_in_exponent_notation(tmp_path):
+    out = str(tmp_path / "exp")
+    code = run(
+        ["solve", "--interval", "-2e0", "-1e-1", "--interval", "1E-1", "2", "--n", "8", "--out", out]
+    )
+    assert code == 0
+    doc = json.loads((tmp_path / "exp_solution.json").read_text())
+    assert [(b["a"], b["b"]) for b in doc["intervals"]] == [(-2.0, -0.1), (0.1, 2.0)]

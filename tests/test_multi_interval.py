@@ -1,3 +1,7 @@
+import collections
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -113,6 +117,20 @@ def test_gmres_happy_breakdown():
     np.testing.assert_allclose(res.x, [0.5, 0.0, 0.0], atol=1e-14)
 
 
+def test_gmres_storage_follows_iterations():
+    # maxit defaults to the unknown count; storage must not scale with it
+    b = np.random.default_rng(3).standard_normal(200_000)
+    tracemalloc.start()
+    try:
+        res = gmres(lambda v: 2.0 * v, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.converged and res.iterations == 1
+    assert peak < 50e6
+    np.testing.assert_allclose(res.x, 0.5 * b, rtol=1e-14)
+
+
 def make_spec(domain, s, rhs_name, n, tol=1e-13):
     rhs, label = resolve_rhs(rhs_name, s, domain)
     return ProblemSpec(s, domain, rhs, n, gmres_tol=tol, rhs_label=label)
@@ -190,3 +208,49 @@ def test_solution_values_against_fine_reference():
         evaluate_expansion(fine.blocks[1], x),
         rtol=1e-10,
     )
+
+
+EIGHT_INTERVALS = Domain(tuple((1.3 * k, 1.3 * k + 1.0 + 0.1 * (k % 3)) for k in range(8)))
+EIGHT_NS = (12, 20, 12, 12, 20, 12, 12, 12)
+
+
+def test_operator_assembled_once_per_solve(monkeypatch):
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    names = ("eigenvalue_lambda", "gegenbauer_norm_h", "gauss_jacobi")
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is None or not (mod_name == "fraclap" or mod_name.startswith("fraclap.")):
+            continue
+        for name in names:
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+    sol = solve(make_spec(EIGHT_INTERVALS, 0.4, "polynomial:1,0.1", EIGHT_NS))
+    assert sol.gmres_iterations > 0
+    distinct = set(EIGHT_NS)
+    assert calls["gauss_jacobi"] == len(distinct)
+    assert calls["eigenvalue_lambda"] <= sum(n + 1 for n in distinct)
+    assert calls["gegenbauer_norm_h"] <= sum(n + 1 for n in distinct)
+
+
+def test_coefficients_solve_residual_equation():
+    # phi = K^-1 (f - R Y) with Y the node values of the returned phi,
+    # rebuilt from the standalone transform, diagonal solve and coupling
+    s = 0.6
+    spec = make_spec(EIGHT_INTERVALS, s, "runge", EIGHT_NS)
+    sol = solve(spec)
+    rules = [
+        map_to_interval(gauss_jacobi(n, s), a, b) for n, (a, b) in zip(EIGHT_NS, EIGHT_INTERVALS.intervals)
+    ]
+    Y = [evaluate_expansion(block, rule.nodes) for block, rule in zip(sol.blocks, rules)]
+    RY = apply_offdiagonal(Y, rules, s)
+    scale = max(np.max(np.abs(block.coeffs)) for block in sol.blocks)
+    for block, rule, ry in zip(sol.blocks, rules, RY):
+        expect = solve_diagonal(forward_transform(spec.rhs(rule.nodes) - ry, rule, s))
+        np.testing.assert_allclose(block.coeffs, expect.coeffs, rtol=0, atol=1e-12 * scale)

@@ -89,6 +89,17 @@ def test_super_algebraic_detection():
     assert not is_super_algebraic(ns, ns**-2.0)
 
 
+def test_super_algebraic_ignores_roundoff_floor():
+    # runge, s = 0.3, N = 32..1024 against N = 2048: the last three rows
+    # sit on the roundoff floor and must not flatten the trailing fit
+    ns = np.array([32, 64, 128, 256, 512, 1024])
+    errors = np.array([9.06e-3, 2.30e-4, 2.55e-7, 4.75e-13, 7.54e-16, 5.51e-16])
+    assert is_super_algebraic(ns, errors)
+    assert not is_super_algebraic(ns, ns**-2.0)
+    # a floor reached within two rows leaves nothing to compare
+    assert not is_super_algebraic(ns, np.array([1e-3, 1e-9, 1e-15, 1e-15, 1e-15, 1e-15]))
+
+
 def test_decay_check_spike():
     vec = np.zeros(20)
     vec[10] = 1.0
