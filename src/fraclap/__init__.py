@@ -4,14 +4,12 @@ fractional Laplacian on finite unions of disjoint intervals.
 
 from .gegenbauer import (
     GegenbauerCoeffs,
-    differentiate_coeffs,
     eval_gegenbauer,
     evaluate_expansion,
     forward_transform,
 )
 from .multi_interval import Domain, MultiSolution, apply_offdiagonal, gmres, solve
 from .operator_core import (
-    NormConstants,
     Polynomial,
     apply_diagonal,
     ln_polynomial,
@@ -19,7 +17,7 @@ from .operator_core import (
     solve_diagonal,
     ts_weighted_monomial_image,
 )
-from .oracle import PVConfig, pv_apply, pv_apply_log, pv_exterior
+from .oracle import PVConfig, pv_apply, pv_exterior
 from .problem import ProblemSpec, make_rhs, resolve_rhs
 from .quadrature import QuadratureRule, gauss_jacobi, map_to_interval
 from .sobolev_metrics import (
@@ -30,14 +28,10 @@ from .sobolev_metrics import (
     hrs_norm,
 )
 from .specfun import (
-    LOG_KERNEL_Q00,
     DomainError,
-    SExponent,
     eigenvalue_lambda,
-    eigenvalue_mu,
     gamma_ratio,
     gegenbauer_norm_h,
-    log_gamma,
     pochhammer,
 )
 

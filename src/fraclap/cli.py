@@ -194,8 +194,7 @@ def cmd_solve(spec: ProblemSpec, out_prefix: str) -> int:
             x = np.linspace(a, b, 1000)
             phi = evaluate_expansion(block, x)
             u = (x - a) ** spec.s * (b - x) ** spec.s * phi
-            for xi, ui, pi in zip(x, u, phi):
-                fh.write(f"{_fmt(xi)},{_fmt(ui)},{_fmt(pi)}\n")
+            np.savetxt(fh, np.column_stack([x, u, phi]), fmt="%.15e", delimiter=",")
     print(
         f"solved: {sol.gmres_iterations} GMRES iterations, "
         f"residual {sol.final_residual:.3e}, {elapsed:.4f} s"
@@ -319,10 +318,7 @@ def main(argv=None) -> int:
             return cmd_solve(spec, args.out)
         spec, ref_n, n_list = _resolve(args, sweep_n=True)
         return cmd_convergence(spec, n_list, ref_n, args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

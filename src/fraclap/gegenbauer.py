@@ -1,31 +1,19 @@
 """Gegenbauer polynomial evaluation and the discrete transform pair in
-the normalized basis C~_j = C_j^{(s+1/2)} / h_j, plus the derivative
-coefficient map between weight exponents s and s+k.
+the normalized basis C~_j = C_j^{(s+1/2)} / h_j.
 
 Coefficient vectors are always stored against the reference variable
 on [-1,1]; the attached interval only enters through the affine
-pullback (and the chain-rule factor when differentiating).
+pullback.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .quadrature import QuadratureRule
-from .specfun import DomainError, SExponent, gegenbauer_norm_h, pochhammer
-
-
-def _weight_exponent(s) -> float:
-    """Accept SExponent or a plain float exponent > -1/2."""
-    if isinstance(s, SExponent):
-        return s.s
-    sv = float(s)
-    if sv <= -0.5:
-        raise DomainError(f"weight exponent must exceed -1/2, got {sv}")
-    return sv
+from .specfun import DomainError, gegenbauer_norm_h, s_value
 
 
 @dataclass(frozen=True)
@@ -33,9 +21,7 @@ class GegenbauerCoeffs:
     """Coefficients against the normalized basis C~_j^{(s+1/2)}.
 
     Entry j multiplies C~_j evaluated in the reference variable
-    xt = 2(x-a)/(b-a) - 1.  The weight exponent s is stored as a plain
-    float because derivative maps produce exponents s+k >= 1, outside
-    the fractional range.
+    xt = 2(x-a)/(b-a) - 1; the fractional order s is stored as a float.
     """
 
     s: float
@@ -43,8 +29,7 @@ class GegenbauerCoeffs:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        sv = _weight_exponent(self.s)
-        object.__setattr__(self, "s", sv)
+        object.__setattr__(self, "s", s_value(self.s))
         a, b = self.interval
         if not a < b:
             raise DomainError(f"interval endpoints must satisfy a < b, got ({a}, {b})")
@@ -86,46 +71,42 @@ def eval_gegenbauer(n: int, alpha: float, x):
 
 def norm_vector(n: int, s) -> np.ndarray:
     """h_j^{(s+1/2)} for j = 0..n."""
-    sv = _weight_exponent(s)
+    sv = s_value(s)
     return np.array([gegenbauer_norm_h(j, sv) for j in range(n + 1)])
 
 
-def _reference_rule_view(rule: QuadratureRule, interval):
+def _reference_rule_view(rule: QuadratureRule):
     """Nodes and weights of the rule pulled back to the reference frame."""
     if rule.interval == (-1.0, 1.0):
         return rule.nodes, rule.weights
     a, b = rule.interval
-    if interval is not None and tuple(interval) != rule.interval:
-        raise ValueError(
-            f"rule interval {rule.interval} does not match requested interval {tuple(interval)}"
-        )
     half = 0.5 * (b - a)
     ref_x = (rule.nodes - 0.5 * (a + b)) / half
     ref_w = rule.weights / half ** (2.0 * rule.alpha + 1.0)
     return ref_x, ref_w
 
 
-def forward_transform(values, rule: QuadratureRule, s, interval=None) -> GegenbauerCoeffs:
+def forward_transform(values, rule: QuadratureRule, s) -> GegenbauerCoeffs:
     """Discrete coefficients f_j = (1/h_j) sum_i f(x_i) C_j(x_i) w_i, j = 0..n.
 
-    The inner product is always formed in the reference frame, so a
-    mapped rule is first pulled back; this makes coefficient vectors of
-    affinely related data identical across intervals.  Exact to
-    roundoff whenever deg(f) + j <= 2n+1.
+    The coefficients are tagged with the rule's interval.  The inner
+    product is always formed in the reference frame, so a mapped rule is
+    first pulled back; this makes coefficient vectors of affinely
+    related data identical across intervals.  Exact to roundoff
+    whenever deg(f) + j <= 2n+1.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size != len(rule):
         raise ValueError(f"expected {len(rule)} node values, got shape {values.shape}")
-    sv = _weight_exponent(s)
+    sv = s_value(s)
     if abs(rule.alpha - sv) > 1e-12:
         raise ValueError(f"rule weight exponent {rule.alpha} does not match s = {sv}")
-    if interval is None:
-        interval = rule.interval
-    ref_x, ref_w = _reference_rule_view(rule, interval)
+    ref_x, ref_w = _reference_rule_view(rule)
     n = len(rule) - 1
     table = eval_gegenbauer_batch(n, sv + 0.5, ref_x)
     coeffs = table @ (values * ref_w) / norm_vector(n, sv)
-    return GegenbauerCoeffs(sv, (float(interval[0]), float(interval[1])), coeffs)
+    a, b = rule.interval
+    return GegenbauerCoeffs(sv, (float(a), float(b)), coeffs)
 
 
 def evaluate_expansion(c: GegenbauerCoeffs, x):
@@ -136,33 +117,3 @@ def evaluate_expansion(c: GegenbauerCoeffs, x):
     table = eval_gegenbauer_batch(n, c.s + 0.5, xt)
     result = (c.coeffs / norm_vector(n, c.s)) @ table.reshape(n + 1, -1)
     return result.reshape(xt.shape) if xt.shape else float(result[0])
-
-
-def a_factor(j: int, k: int, s) -> float:
-    """Derivative map factor A_j^k = 2^k (s+1/2)_k h_{j-k}^{(s+k+1/2)} / h_j^{(s+1/2)}."""
-    sv = _weight_exponent(s)
-    if k < 1 or j < k:
-        raise DomainError(f"a_factor requires 1 <= k <= j, got j={j}, k={k}")
-    return (
-        2.0**k
-        * pochhammer(sv + 0.5, k)
-        * gegenbauer_norm_h(j - k, sv + k)
-        / gegenbauer_norm_h(j, sv)
-    )
-
-
-def differentiate_coeffs(c: GegenbauerCoeffs, k: int) -> GegenbauerCoeffs:
-    """Coefficients of the k-th derivative, in the C~^{(s+k+1/2)} basis.
-
-    Applies v^(k)_{j-k, s+k} = A_j^k v_{j,s} together with the interval
-    chain-rule factor (2/(b-a))^k; the result has weight exponent s+k.
-    """
-    if k < 1:
-        raise DomainError(f"derivative order must be >= 1, got {k}")
-    n = len(c) - 1
-    if n < k:
-        raise DomainError(f"need at least {k+1} coefficients to take {k} derivatives, got {n+1}")
-    a, b = c.interval
-    chain = (2.0 / (b - a)) ** k
-    factors = np.array([a_factor(j, k, c.s) for j in range(k, n + 1)])
-    return GegenbauerCoeffs(c.s + k, c.interval, chain * factors * c.coeffs[k:])

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gegenbauer import GegenbauerCoeffs, eval_gegenbauer_batch, norm_vector
-from .operator_core import NormConstants
+from .operator_core import c1_constant
 from .quadrature import gauss_jacobi, map_to_interval
 from .specfun import DomainError, eigenvalue_lambda, s_value
 
@@ -114,7 +114,7 @@ def apply_offdiagonal(phi, rules, s):
         if block.size != len(rule):
             raise ValueError("phi node values do not match rule size")
         weighted.append(block * rule.weights)
-    return _apply_coupling(_coupling_kernels(rules, sv), weighted, NormConstants.for_s(sv).c1)
+    return _apply_coupling(_coupling_kernels(rules, sv), weighted, c1_constant(sv))
 
 
 def gmres(apply_A, rhs, tol: float = 1e-13, maxit: int | None = None) -> GMRESResult:
@@ -225,7 +225,7 @@ class _Discretization:
         ]
         self.offsets = np.concatenate([[0], np.cumsum([len(r) for r in self.rules])])
         self.kernels = _coupling_kernels(self.rules, self.sv)
-        self.c1 = NormConstants.for_s(self.sv).c1
+        self.c1 = c1_constant(self.sv)
 
     def split(self, Y):
         return [Y[self.offsets[j]: self.offsets[j + 1]] for j in range(len(self.rules))]

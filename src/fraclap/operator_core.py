@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gegenbauer import GegenbauerCoeffs
-from .specfun import DomainError, SExponent, eigenvalue_lambda, pochhammer, s_value
+from .specfun import DomainError, eigenvalue_lambda, pochhammer, s_value
 
 _TRIM_REL = 1e-14
 
@@ -52,28 +52,12 @@ class Polynomial:
         return np.polynomial.polynomial.polyval(x, self.coeffs)
 
 
-@dataclass(frozen=True)
-class NormConstants:
-    """Normalization constants of the singular-integral kernels.
-
-    c1 = C_1(s) = 2^{2s} s Gamma(s+1/2) / (sqrt(pi) Gamma(1-s)) > 0.
-    cs = C_s = -Gamma(2s-1) sin(pi s) / pi, undefined at s = 1/2
-    (logarithmic-kernel regime); stored as nan there with a flag.
+def c1_constant(s) -> float:
+    """Normalization constant of the singular-integral kernel
+    C_1(s) |x-y|^{-1-2s}: C_1(s) = 2^{2s} s Gamma(s+1/2) / (sqrt(pi) Gamma(1-s)) > 0.
     """
-
-    s: float
-    c1: float
-    cs: float
-    log_regime: bool
-
-    @classmethod
-    def for_s(cls, s) -> "NormConstants":
-        sv = s_value(s)
-        c1 = 2.0 ** (2.0 * sv) * sv * math.gamma(sv + 0.5) / (math.sqrt(math.pi) * math.gamma(1.0 - sv))
-        if sv == 0.5:
-            return cls(sv, c1, math.nan, True)
-        cs = -math.gamma(2.0 * sv - 1.0) * math.sin(math.pi * sv) / math.pi
-        return cls(sv, c1, cs, False)
+    sv = s_value(s)
+    return 2.0 ** (2.0 * sv) * sv * math.gamma(sv + 0.5) / (math.sqrt(math.pi) * math.gamma(1.0 - sv))
 
 
 def image_prefactor(s) -> float:

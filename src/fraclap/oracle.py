@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .operator_core import NormConstants
+from .operator_core import c1_constant
 from .specfun import DomainError, s_value
 
 
@@ -172,17 +172,7 @@ def pv_apply(uprime, x: float, s, interval, cfg: PVConfig = PVConfig()) -> float
         _excised_integral(uprime, x, sv, a, b, eps0 * 2.0**-m, cfg) for m in range(cfg.levels)
     ]
     limit, _, _ = _extrapolate(values, sv)
-    return NormConstants.for_s(sv).c1 / (2.0 * sv) * limit
-
-
-def pv_apply_log(uprime, x: float, interval, cfg: PVConfig = PVConfig()) -> float:
-    """The s = 1/2 evaluation (logarithmic-kernel regime).
-
-    The derivative kernel sgn(x-z)|x-z|^{-2s} is continuous in s across
-    s = 1/2, where the prefactor C_1(1/2)/1 equals 1/pi, so this is the
-    shared PV core evaluated at s = 1/2.
-    """
-    return pv_apply(uprime, x, 0.5, interval, cfg)
+    return c1_constant(sv) / (2.0 * sv) * limit
 
 
 def pv_exterior(u, x: float, s, interval, cfg: PVConfig = PVConfig()) -> float:
@@ -207,7 +197,7 @@ def pv_exterior(u, x: float, s, interval, cfg: PVConfig = PVConfig()) -> float:
     c = 0.5 * (a + b)
     total = _segment_toward_lo(fn, a, c, cfg, endpoint_power=sv)
     total += _segment_toward_hi(fn, c, b, cfg, endpoint_power=sv)
-    return -NormConstants.for_s(sv).c1 * total
+    return -c1_constant(sv) * total
 
 
 def weighted_mode(n: int, s, interval):

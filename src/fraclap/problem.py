@@ -5,7 +5,7 @@ command-line driver and the experiment scripts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -57,11 +57,8 @@ def make_rhs(name: str, params: str = "") -> tuple[Callable, str]:
     """Build a named right-hand side; returns (callable, canonical label).
 
     Built-ins: constant[:c], runge (1/(x^2+0.01)), absx (|x|),
-    polynomial:c0,c1,... (monomial coefficients), gegenbauer-mode:k
-    (the k-th normalized Gegenbauer polynomial in the reference
-    variable of whichever interval the point falls in -- resolved at
-    solve time, so it is exposed through a factory taking s and the
-    domain).
+    polynomial:c0,c1,... (monomial coefficients).  The domain-aware
+    gegenbauer-mode:k goes through resolve_rhs.
     """
     if name == "constant":
         c = float(params) if params else 1.0
@@ -83,10 +80,6 @@ def make_rhs(name: str, params: str = "") -> tuple[Callable, str]:
             return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), coeffs)
 
         return f, "polynomial:" + ",".join(f"{v:g}" for v in coeffs)
-    if name == "gegenbauer-mode":
-        raise DomainError(
-            "gegenbauer-mode needs domain context; use make_mode_rhs(k, s, domain)"
-        )
     raise DomainError(f"unknown rhs name {name!r}")
 
 

@@ -1,5 +1,5 @@
 """Gauss-Jacobi rules for the symmetric weight (1-x^2)^alpha on [-1,1],
-with affine mapping to arbitrary intervals and an optional binary cache.
+with affine mapping to arbitrary intervals.
 
 Construction is Golub-Welsch: the symmetric tridiagonal Jacobi matrix is
 assembled from the known three-term recurrence coefficients and
@@ -11,16 +11,12 @@ so no quadrature bootstrap is needed).
 from __future__ import annotations
 
 import math
-import os
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .specfun import DomainError, gamma_ratio
-
-_CACHE_MAGIC = b"GJRULE01"
 
 
 @dataclass(frozen=True)
@@ -67,17 +63,12 @@ def total_mass(alpha: float) -> float:
     return math.sqrt(math.pi) * gamma_ratio(alpha + 1.0, alpha + 1.5)
 
 
-def gauss_jacobi(n: int, alpha: float, cache_dir: str | None = None) -> QuadratureRule:
+def gauss_jacobi(n: int, alpha: float) -> QuadratureRule:
     """(n+1)-point Gauss-Jacobi rule for (1-x^2)^alpha, exact to degree 2n+1."""
     if n < 0:
         raise DomainError(f"rule index must be >= 0, got {n}")
     if alpha <= -1.0:
         raise DomainError(f"Jacobi exponent must exceed -1, got {alpha}")
-
-    if cache_dir is not None:
-        path = _cache_path(cache_dir, n, alpha)
-        if os.path.exists(path):
-            return load_rule(path)
 
     mass = total_mass(alpha)
     if n == 0:
@@ -98,10 +89,6 @@ def gauss_jacobi(n: int, alpha: float, cache_dir: str | None = None) -> Quadratu
         nodes = 0.5 * (nodes - nodes[::-1])
         weights = 0.5 * (weights + weights[::-1])
         rule = QuadratureRule(alpha, nodes, weights)
-
-    if cache_dir is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        save_rule(rule, _cache_path(cache_dir, n, alpha))
     return rule
 
 
@@ -115,29 +102,3 @@ def map_to_interval(rule: QuadratureRule, a: float, b: float) -> QuadratureRule:
     nodes = a + half * (rule.nodes + 1.0)
     weights = rule.weights * half ** (2.0 * rule.alpha + 1.0)
     return QuadratureRule(rule.alpha, nodes, weights, interval=(a, b))
-
-
-def _cache_path(cache_dir: str, n: int, alpha: float) -> str:
-    return os.path.join(cache_dir, f"gjrule_{n}_{alpha:.17g}.bin")
-
-
-def save_rule(rule: QuadratureRule, path: str) -> None:
-    """Serialize a reference rule: magic, u64 point count, f64 alpha, nodes, weights."""
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<Q", len(rule)))
-        fh.write(struct.pack("<d", rule.alpha))
-        fh.write(rule.nodes.astype("<f8").tobytes())
-        fh.write(rule.weights.astype("<f8").tobytes())
-
-
-def load_rule(path: str) -> QuadratureRule:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _CACHE_MAGIC:
-            raise ValueError(f"bad rule file magic in {path!r}: {magic!r}")
-        (count,) = struct.unpack("<Q", fh.read(8))
-        (alpha,) = struct.unpack("<d", fh.read(8))
-        nodes = np.frombuffer(fh.read(8 * count), dtype="<f8").copy()
-        weights = np.frombuffer(fh.read(8 * count), dtype="<f8").copy()
-    return QuadratureRule(alpha, nodes, weights)

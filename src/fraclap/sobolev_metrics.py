@@ -9,13 +9,12 @@ by Parseval.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .gegenbauer import GegenbauerCoeffs
-from .specfun import DomainError, gegenbauer_norm_h
+from .specfun import DomainError
 
 # A fitted order on the trailing half of the rows exceeding the
 # full-window fit by more than this flags faster-than-algebraic decay.
@@ -87,23 +86,6 @@ def is_super_algebraic(ns, errors) -> bool:
     half = ns.size // 2
     tail = _slope_order(ns[half:], errors[half:])
     return tail > full + _SUPER_ALGEBRAIC_MARGIN
-
-
-def b_factor(j: int, k: int, s: float) -> float:
-    """Integration-by-parts factor
-
-        B_j^k = (h_{j-k}^{(s+k+1/2)} / h_j^{(s+1/2)})
-                * prod_{r=0}^{k-1} (2s+2r+1) / ((j-r)(2s+r+j+1)),
-
-    the reciprocal of the derivative map factor A_j^k; decays like j^-k.
-    """
-    if k < 1 or j < k:
-        raise DomainError(f"b_factor requires 1 <= k <= j, got j={j}, k={k}")
-    q = gegenbauer_norm_h(j - k, s + k) / gegenbauer_norm_h(j, s)
-    prod = 1.0
-    for r in range(k):
-        prod *= (2.0 * s + 2.0 * r + 1.0) / ((j - r) * (2.0 * s + r + j + 1.0))
-    return q * prod
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
-"""Stable special-function kernel: log-gamma, gamma ratios, Pochhammer
-symbols, Gegenbauer norms and the eigenvalues of the edge-weighted
-fractional Laplacian.
+"""Stable special-function kernel: the check of the fractional order,
+gamma ratios, Pochhammer symbols, Gegenbauer norms and the eigenvalues
+of the edge-weighted fractional Laplacian.
 
 All functions here are pure; they can be called concurrently without
 restriction.
@@ -9,17 +9,11 @@ restriction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
 class DomainError(ValueError):
     """Argument outside the mathematical domain of an operation."""
 
-
-# Value of the logarithmic-kernel constant: the weighted single-layer
-# operator applied to the n=0 mode at s = 1/2 on (0,1).  Kept as a named
-# constant because eigenvalue_mu(0, 1/2) is a genuine pole.
-LOG_KERNEL_Q00 = -2.0 * math.log(2.0)
 
 # Above this argument size gamma ratios switch from direct gamma
 # quotients to the asymptotic (Stirling/Bernoulli) difference, which
@@ -38,32 +32,15 @@ _STIRLING_COEFFS = (
 )
 
 
-@dataclass(frozen=True)
-class SExponent:
-    """Fractional order s, restricted to the open interval (0, 1)."""
+def s_value(s) -> float:
+    """The fractional order s as a float, checked to lie in (0, 1).
 
-    s: float
-
-    def __post_init__(self):
-        if not (0.0 < self.s < 1.0):
-            raise DomainError(f"fractional order must satisfy 0 < s < 1, got {self.s}")
-
-    def __float__(self) -> float:
-        return self.s
-
-
-def s_value(s: SExponent | float) -> float:
-    """Coerce an SExponent (or plain float) to a validated float in (0,1)."""
-    if isinstance(s, SExponent):
-        return s.s
-    return SExponent(float(s)).s
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if x <= 0.0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
+    The one place that decides which s is valid.
+    """
+    sv = float(s)
+    if not 0.0 < sv < 1.0:
+        raise DomainError(f"fractional order must satisfy 0 < s < 1, got {sv}")
+    return sv
 
 
 def _stirling_tail(x: float) -> float:
@@ -135,7 +112,7 @@ def pochhammer(z: float, k: int) -> float:
     return gamma_ratio(z + k, z)
 
 
-def eigenvalue_lambda(n: int, s: SExponent | float) -> float:
+def eigenvalue_lambda(n: int, s: float) -> float:
     """Eigenvalue Gamma(2s+n+1)/n! of the weighted fractional Laplacian.
 
     Interval-independent: the affine change of variables that maps a
@@ -147,39 +124,12 @@ def eigenvalue_lambda(n: int, s: SExponent | float) -> float:
     return gamma_ratio(2.0 * sv + n + 1.0, n + 1.0)
 
 
-def eigenvalue_mu(n: int, s: SExponent | float) -> float:
-    """Eigenvalue -Gamma(2s+n-1)/n! of the weighted single-layer operator.
-
-    The pair (n=0, s <= 1/2) hits the Gamma pole; at s = 1/2 the
-    operator value is the logarithmic constant LOG_KERNEL_Q00, which is
-    deliberately not reachable through this function.
-    """
-    sv = s_value(s)
-    if n < 0:
-        raise DomainError(f"mode index must be >= 0, got {n}")
-    if n == 0 and sv <= 0.5:
-        raise DomainError(
-            "mu_0 is undefined for s <= 1/2 (Gamma pole); at s = 1/2 use "
-            "the logarithmic constant LOG_KERNEL_Q00 instead"
-        )
-    return -gamma_ratio(2.0 * sv + n - 1.0, n + 1.0)
-
-
-def gegenbauer_norm_h(j: int, s: SExponent | float) -> float:
+def gegenbauer_norm_h(j: int, s: float) -> float:
     """Weighted L2 norm h_j of the Gegenbauer polynomial C_j^(s+1/2).
 
     h_j^2 = 2^(-2s) pi / Gamma(s+1/2)^2 * Gamma(j+2s+1) / (j! (j+s+1/2)).
-
-    Accepts any weight exponent s > -1/2 (plain float); SExponent inputs
-    are restricted to (0,1) as usual.  Exponents above the fractional
-    range arise from derivative expansions.
     """
-    if isinstance(s, SExponent):
-        sv = s.s
-    else:
-        sv = float(s)
-        if sv <= -0.5:
-            raise DomainError(f"weight exponent must exceed -1/2, got {sv}")
+    sv = s_value(s)
     if j < 0:
         raise DomainError(f"polynomial degree must be >= 0, got {j}")
     g = math.gamma(sv + 0.5)

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from fraclap.cli import main
+from fraclap.gegenbauer import GegenbauerCoeffs, evaluate_expansion
+from fraclap.specfun import eigenvalue_lambda
 
 
 def run(args):
@@ -28,6 +30,11 @@ def test_solve_single_interval_constant(tmp_path, capsys):
     lines = (tmp_path / "run_curve.csv").read_text().splitlines()
     assert lines[0] == "x,u,phi"
     assert len(lines) == 1001
+    # rows equal the per-row formatting of the sampled expansion
+    x = np.linspace(-1.0, 1.0, 1000)
+    phi = evaluate_expansion(GegenbauerCoeffs(0.3, (-1.0, 1.0), block["phi_coeffs"]), x)
+    u = (x + 1.0) ** 0.3 * (1.0 - x) ** 0.3 * phi
+    assert lines[1:] == [f"{xi:.15e},{ui:.15e},{pi:.15e}" for xi, ui, pi in zip(x, u, phi)]
     want = 1.0 / math.gamma(1.6)
     for row in lines[1:200:37]:
         x, u, phi = (float(v) for v in row.split(","))
@@ -53,6 +60,21 @@ def test_solve_two_intervals(tmp_path):
     doc = json.loads((tmp_path / "two_solution.json").read_text())
     assert doc["gmres"]["iterations"] <= 8
     assert len(doc["intervals"]) == 2
+
+
+def test_solve_gegenbauer_mode_rhs(tmp_path):
+    # f = C~_3 on the interval is an eigenfunction: phi = e_3 / lambda_3
+    out = str(tmp_path / "mode")
+    code = run(
+        ["solve", "--s", "0.3", "--interval", "2", "5", "--rhs", "gegenbauer-mode:3", "--n", "8", "--out", out]
+    )
+    assert code == 0
+    doc = json.loads((tmp_path / "mode_solution.json").read_text())
+    assert doc["rhs"] == "gegenbauer-mode:3"
+    [block] = doc["intervals"]
+    want = np.zeros(9)
+    want[3] = 1.0 / eigenvalue_lambda(3, 0.3)
+    np.testing.assert_allclose(block["phi_coeffs"], want, rtol=0, atol=1e-13)
 
 
 def test_overlapping_intervals_exit_code(tmp_path, capsys):

@@ -1,10 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
 from fraclap.gegenbauer import eval_gegenbauer
-from fraclap.oracle import PVConfig, pv_apply, pv_apply_log, pv_exterior, weighted_mode
+from fraclap.oracle import PVConfig, pv_apply, pv_exterior, weighted_mode
 from fraclap.specfun import DomainError, eigenvalue_lambda, gegenbauer_norm_h
 
 FAST = PVConfig(levels=5, panels_per_side=10, gauss_order=12)
@@ -44,16 +42,16 @@ def test_odd_mode_at_center():
 def test_log_kernel_case():
     # s = 1/2, constant mode: the image is Gamma(2) = 1
     u, uprime = weighted_mode(0, 0.5, (-1.0, 1.0))
-    got = pv_apply_log(lambda z: uprime(z) * gegenbauer_norm_h(0, 0.5), 0.3, (-1.0, 1.0))
+    got = pv_apply(lambda z: uprime(z) * gegenbauer_norm_h(0, 0.5), 0.3, 0.5, (-1.0, 1.0))
     assert got == pytest.approx(1.0, abs=1e-8)
     u1, up1 = weighted_mode(1, 0.5, (-1.0, 1.0))
-    assert abs(pv_apply_log(up1, 0.0, (-1.0, 1.0))) < 1e-9
+    assert abs(pv_apply(up1, 0.0, 0.5, (-1.0, 1.0))) < 1e-9
 
 
 def test_continuity_in_s_across_half():
     u, uprime = weighted_mode(2, 0.5, (-1.0, 1.0))
     x = 0.27
-    mid = pv_apply_log(uprime, x, (-1.0, 1.0))
+    mid = pv_apply(uprime, x, 0.5, (-1.0, 1.0))
     lo = pv_apply(uprime, x, 0.5 - 1e-3, (-1.0, 1.0))
     hi = pv_apply(uprime, x, 0.5 + 1e-3, (-1.0, 1.0))
     assert min(lo, hi) - 1e-3 <= mid <= max(lo, hi) + 1e-3

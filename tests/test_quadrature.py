@@ -7,9 +7,7 @@ from scipy.special import beta as sp_beta
 from fraclap.quadrature import (
     QuadratureRule,
     gauss_jacobi,
-    load_rule,
     map_to_interval,
-    save_rule,
     total_mass,
 )
 from fraclap.specfun import DomainError
@@ -93,34 +91,6 @@ def test_map_to_interval():
 
     with pytest.raises(DomainError):
         map_to_interval(r, 2.0, 1.0)
-
-
-def test_cache_roundtrip(tmp_path):
-    r = gauss_jacobi(13, 0.27)
-    path = tmp_path / "rule.bin"
-    save_rule(r, str(path))
-    raw = path.read_bytes()
-    assert raw[:8] == b"GJRULE01"
-    assert int.from_bytes(raw[8:16], "little") == 14
-    back = load_rule(str(path))
-    assert back.alpha == r.alpha
-    np.testing.assert_array_equal(back.nodes, r.nodes)
-    np.testing.assert_array_equal(back.weights, r.weights)
-
-
-def test_cache_dir_hit(tmp_path):
-    first = gauss_jacobi(7, 0.45, cache_dir=str(tmp_path))
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1
-    second = gauss_jacobi(7, 0.45, cache_dir=str(tmp_path))
-    np.testing.assert_array_equal(first.nodes, second.nodes)
-
-
-def test_bad_magic(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"NOTARULE" + b"\x00" * 24)
-    with pytest.raises(ValueError):
-        load_rule(str(path))
 
 
 def test_type_validation():

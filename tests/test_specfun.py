@@ -6,15 +6,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import roots_jacobi
 
 from fraclap.specfun import (
-    LOG_KERNEL_Q00,
     DomainError,
-    SExponent,
     eigenvalue_lambda,
-    eigenvalue_mu,
     gamma_ratio,
     gegenbauer_norm_h,
-    log_gamma,
     pochhammer,
+    s_value,
 )
 
 # high-precision reference values (40-digit big-float evaluation)
@@ -23,19 +20,11 @@ LAMBDA_100_S025 = 10.037445400568830802  # Gamma(101.5)/100!
 H0_S025 = 1.3221340210160541337  # sqrt(int_-1^1 (1-x^2)^{1/4} dx)
 
 
-def test_sexponent_rejects_out_of_range():
+def test_s_value_rejects_out_of_range():
     for bad in (0.0, 1.0, -0.3, 1.7):
         with pytest.raises(DomainError):
-            SExponent(bad)
-    assert float(SExponent(0.5)) == 0.5
-
-
-def test_log_gamma_values():
-    assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-    assert log_gamma(0.5) == pytest.approx(0.5723649429247001, rel=1e-14)
-    assert log_gamma(10.0) == pytest.approx(math.log(362880.0), rel=1e-14)
-    with pytest.raises(DomainError):
-        log_gamma(-1.0)
+            s_value(bad)
+    assert s_value(0.5) == 0.5
 
 
 def test_gamma_ratio_small_args():
@@ -98,19 +87,6 @@ def test_eigenvalue_lambda_asymptotic():
         r1 = eigenvalue_lambda(n, s) / n ** (2 * s)
         r2 = eigenvalue_lambda(2 * n, s) / (2 * n) ** (2 * s)
         assert abs(r1 / r2 - 1.0) < 0.05
-
-
-def test_eigenvalue_mu():
-    assert eigenvalue_mu(1, 0.75) == pytest.approx(-0.8862269254527580, rel=1e-13)
-    for s in (0.2, 0.6):
-        assert eigenvalue_mu(2, s) == pytest.approx(-math.gamma(2 * s + 1) / 2.0, rel=1e-13)
-    for n in range(1, 8):
-        assert eigenvalue_mu(n, 0.5) == pytest.approx(-1.0 / n, rel=1e-13)
-    for s in (0.2, 0.5):
-        with pytest.raises(DomainError):
-            eigenvalue_mu(0, s)
-    assert eigenvalue_mu(0, 0.75) < 0.0
-    assert LOG_KERNEL_Q00 == pytest.approx(-2.0 * math.log(2.0))
 
 
 def test_gegenbauer_norm_h_halfcase():
