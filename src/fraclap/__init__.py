@@ -30,7 +30,6 @@ from .sobolev_metrics import (
 from .specfun import (
     DomainError,
     eigenvalue_lambda,
-    gamma_ratio,
     gegenbauer_norm_h,
     pochhammer,
 )

@@ -27,7 +27,7 @@ from .multi_interval import Domain
 from .operator_core import monomial_operator_matrix
 from .oracle import PVConfig, pv_apply, weighted_mode
 from .problem import ProblemSpec, resolve_rhs
-from .specfun import DomainError, eigenvalue_lambda, gegenbauer_norm_h
+from .specfun import DomainError, spectrum
 
 
 class ConfigError(Exception):
@@ -211,6 +211,8 @@ def _reference_solution(spec: ProblemSpec, n_list, ref_n):
 def cmd_convergence(spec: ProblemSpec, n_list, ref_n, out_prefix: str) -> int:
     if len(n_list) < 3 or sorted(n_list) != list(n_list):
         raise ConfigError(f"convergence needs an ascending list of >= 3 resolutions, got {n_list}")
+    if ref_n is not None and ref_n <= n_list[-1]:
+        raise ConfigError(f"reference resolution must exceed the largest N = {n_list[-1]}, got {ref_n}")
     ref_n, ref = _reference_solution(spec, n_list, ref_n)
     ref_scale = max(
         np.sqrt(sum(sobolev_metrics.hrs_norm(b, 0.0) ** 2 for b in ref.blocks)), 1e-300
@@ -267,13 +269,14 @@ def cmd_eigencheck(s_list, nmax: int, out_prefix: str) -> int:
     lines = []
     ok = True
     for s in s_list:
+        # modes n <= nmax, and the diagonal of the monomial matrix below
+        lam, h = spectrum(nmax + 2, s)
         worst = 0.0
         for n in range(nmax + 1):
             u, uprime = weighted_mode(n, s, interval)
-            lam = eigenvalue_lambda(n, s)
-            tol = 1e-6 * max(1.0, lam)
+            tol = 1e-6 * max(1.0, lam[n])
             for x in points:
-                expect = lam * eval_gegenbauer(n, s + 0.5, x) / gegenbauer_norm_h(n, s)
+                expect = lam[n] * eval_gegenbauer(n, s + 0.5, x) / h[n]
                 dev = abs(pv_apply(uprime, x, s, interval, cfg) - expect)
                 worst = max(worst, dev / tol)
         passed = worst <= 1.0
@@ -285,7 +288,7 @@ def cmd_eigencheck(s_list, nmax: int, out_prefix: str) -> int:
         # triangularity / diagonal structure of the monomial operator matrix
         m = min(nmax + 2, 12)
         mat = monomial_operator_matrix(m, s)
-        diag = np.array([eigenvalue_lambda(n, s) for n in range(m + 1)])
+        diag = lam[: m + 1]
         lower = np.tril(mat, -1)
         tri_dev = np.max(np.abs(lower)) / np.max(np.abs(diag))
         diag_dev = np.max(np.abs(np.diag(mat) - diag) / np.abs(diag))
@@ -308,10 +311,9 @@ def main(argv=None) -> int:
     try:
         if args.command == "eigencheck":
             s_list = args.s or [0.1, 0.25, 0.5, 0.75, 0.9]
-            nmax = 4
-            if args.n is not None:
-                n = _parse_n(args.n)
-                nmax = n if isinstance(n, int) else n[0]
+            nmax = 4 if args.n is None else _parse_n(args.n)
+            if not isinstance(nmax, int) or nmax < 0:
+                raise ConfigError(f"eigencheck takes one integer n >= 0, got {args.n!r}")
             return cmd_eigencheck(s_list, nmax, args.out)
         if args.command == "solve":
             spec, _, _ = _resolve(args)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import QuadratureRule
-from .specfun import DomainError, gegenbauer_norm_h, s_value
+from .specfun import DomainError, s_value, spectrum
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,7 @@ def eval_gegenbauer(n: int, alpha: float, x):
 
 def norm_vector(n: int, s) -> np.ndarray:
     """h_j^{(s+1/2)} for j = 0..n."""
-    sv = s_value(s)
-    return np.array([gegenbauer_norm_h(j, sv) for j in range(n + 1)])
+    return spectrum(n, s)[1]
 
 
 def _reference_rule_view(rule: QuadratureRule):

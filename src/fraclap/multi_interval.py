@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gegenbauer import GegenbauerCoeffs, eval_gegenbauer_batch, norm_vector
+from .gegenbauer import GegenbauerCoeffs, eval_gegenbauer_batch
 from .operator_core import c1_constant
 from .quadrature import gauss_jacobi, map_to_interval
-from .specfun import DomainError, eigenvalue_lambda, s_value
+from .specfun import DomainError, s_value, spectrum
 
 
 @dataclass(frozen=True)
@@ -189,8 +189,7 @@ class _ReferenceBlock:
     def __init__(self, n: int, sv: float):
         self.rule = gauss_jacobi(n, sv)
         self.table = eval_gegenbauer_batch(n, sv + 0.5, self.rule.nodes)
-        self.norms = norm_vector(n, sv)
-        self.lam = np.array([eigenvalue_lambda(j, sv) for j in range(n + 1)])
+        self.lam, self.norms = spectrum(n, sv)
 
     def coeffs(self, values):
         """Coefficients phi_j = f_j / lambda_j of K^-1 f, from the node values of f."""
@@ -213,13 +212,8 @@ class _Discretization:
     def __init__(self, domain: Domain, s, n_per_interval):
         self.sv = s_value(s)
         self.domain = domain
-        self.ns = tuple(int(n) for n in n_per_interval)
-        if len(self.ns) != len(domain):
-            raise ValueError("need one resolution per interval")
-        if any(n < 1 for n in self.ns):
-            raise DomainError("per-interval resolution must be >= 1")
-        shared = {n: _ReferenceBlock(n, self.sv) for n in dict.fromkeys(self.ns)}
-        self.refs = [shared[n] for n in self.ns]
+        shared = {n: _ReferenceBlock(n, self.sv) for n in dict.fromkeys(n_per_interval)}
+        self.refs = [shared[n] for n in n_per_interval]
         self.rules = [
             map_to_interval(ref.rule, a, b) for ref, (a, b) in zip(self.refs, domain.intervals)
         ]

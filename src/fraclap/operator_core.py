@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gegenbauer import GegenbauerCoeffs
-from .specfun import DomainError, eigenvalue_lambda, pochhammer, s_value
+from .specfun import DomainError, pochhammer, s_value, spectrum
 
 _TRIM_REL = 1e-14
 
@@ -76,13 +76,13 @@ def apply_diagonal(c: GegenbauerCoeffs) -> GegenbauerCoeffs:
     The eigenvalues are interval-independent (affine scale invariance),
     so the interval tag passes through untouched.
     """
-    lam = np.array([eigenvalue_lambda(j, c.s) for j in range(len(c))])
+    lam = spectrum(len(c) - 1, c.s)[0]
     return GegenbauerCoeffs(c.s, c.interval, lam * c.coeffs)
 
 
 def solve_diagonal(f_coeffs: GegenbauerCoeffs) -> GegenbauerCoeffs:
     """Coefficients phi_j = f_j / lambda_j of the Dirichlet solve."""
-    lam = np.array([eigenvalue_lambda(j, f_coeffs.s) for j in range(len(f_coeffs))])
+    lam = spectrum(len(f_coeffs) - 1, f_coeffs.s)[0]
     return GegenbauerCoeffs(f_coeffs.s, f_coeffs.interval, f_coeffs.coeffs / lam)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from .operator_core import c1_constant
-from .specfun import DomainError, s_value
+from .specfun import DomainError, gegenbauer_norm_h, s_value
 
 
 @dataclass(frozen=True)
@@ -206,7 +206,7 @@ def weighted_mode(n: int, s, interval):
     These are the operator eigenfunctions; pv_apply on them should
     reproduce lambda_n^s C~_n(x).
     """
-    from .gegenbauer import eval_gegenbauer, gegenbauer_norm_h
+    from .gegenbauer import eval_gegenbauer
 
     sv = s_value(s)
     a, b = interval

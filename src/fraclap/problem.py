@@ -11,7 +11,7 @@ from typing import Callable
 import numpy as np
 
 from .multi_interval import Domain
-from .specfun import DomainError, s_value
+from .specfun import DomainError, gegenbauer_norm_h, s_value
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ def make_mode_rhs(k: int, s, domain: Domain) -> tuple[Callable, str]:
     of the reference variable on each interval (and extended by its
     polynomial values in between).
     """
-    from .gegenbauer import eval_gegenbauer, gegenbauer_norm_h
+    from .gegenbauer import eval_gegenbauer
 
     sv = s_value(s)
     if k < 0:

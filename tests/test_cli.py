@@ -158,6 +158,16 @@ def test_convergence_bad_n_list(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("ref_n", ["32", "64"])
+def test_convergence_reference_not_finer_exit_code(tmp_path, capsys, ref_n):
+    out = tmp_path / "c"
+    code = run(["convergence", "--interval", "-1", "1", "--n", "16,32,64", "--ref-n", ref_n, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "c_convergence.csv").exists()
+
+
 def test_csv_bit_stable(tmp_path):
     args = ["convergence", "--s", "0.25", "--interval", "-1", "1", "--rhs", "absx",
             "--n", "8,16,32", "--ref-n", "64"]
@@ -176,6 +186,16 @@ def test_eigencheck_command(tmp_path, capsys):
     assert code == 0
     text = (tmp_path / "eig_eigencheck.txt").read_text()
     assert "PASS" in text and "FAIL" not in text
+
+
+@pytest.mark.parametrize("n", ["1,3", "-1"])
+def test_eigencheck_rejects_n_other_than_one_integer(tmp_path, capsys, n):
+    out = tmp_path / "eig"
+    code = run(["eigencheck", "--s", "0.5", "--n", n, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and n in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "eig_eigencheck.txt").exists()
 
 
 def test_non_integer_n_exit_code(tmp_path, capsys):

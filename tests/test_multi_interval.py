@@ -215,16 +215,18 @@ EIGHT_NS = (12, 20, 12, 12, 20, 12, 12, 12)
 
 
 def test_operator_assembled_once_per_solve(monkeypatch):
+    # one rule and one spectrum per distinct resolution, no scalar
+    # eigenvalue or norm lookups
     calls = collections.Counter()
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name, args[0]] += 1
             return fn(*args, **kwargs)
 
         return wrapper
 
-    names = ("eigenvalue_lambda", "gegenbauer_norm_h", "gauss_jacobi")
+    names = ("eigenvalue_lambda", "gegenbauer_norm_h", "gauss_jacobi", "spectrum")
     for mod_name, mod in list(sys.modules.items()):
         if mod is None or not (mod_name == "fraclap" or mod_name.startswith("fraclap.")):
             continue
@@ -233,10 +235,10 @@ def test_operator_assembled_once_per_solve(monkeypatch):
                 monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
     sol = solve(make_spec(EIGHT_INTERVALS, 0.4, "polynomial:1,0.1", EIGHT_NS))
     assert sol.gmres_iterations > 0
-    distinct = set(EIGHT_NS)
-    assert calls["gauss_jacobi"] == len(distinct)
-    assert calls["eigenvalue_lambda"] <= sum(n + 1 for n in distinct)
-    assert calls["gegenbauer_norm_h"] <= sum(n + 1 for n in distinct)
+    once = {n: 1 for n in set(EIGHT_NS)}
+    assert {n: c for (name, n), c in calls.items() if name == "gauss_jacobi"} == once
+    assert {n: c for (name, n), c in calls.items() if name == "spectrum"} == once
+    assert not any(name in ("eigenvalue_lambda", "gegenbauer_norm_h") for name, _ in calls)
 
 
 def test_coefficients_solve_residual_equation():

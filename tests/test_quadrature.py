@@ -100,3 +100,7 @@ def test_type_validation():
         QuadratureRule(0.5, np.array([-0.5, 0.5]), np.array([1.0, -1.0]))
     with pytest.raises(DomainError):
         gauss_jacobi(4, -1.5)
+    # Gamma(alpha + 1.5) overflows above alpha = 170
+    assert math.isfinite(total_mass(170.0))
+    with pytest.raises(DomainError):
+        total_mass(170.5)

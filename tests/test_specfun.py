@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,14 +9,13 @@ from scipy.special import roots_jacobi
 from fraclap.specfun import (
     DomainError,
     eigenvalue_lambda,
-    gamma_ratio,
     gegenbauer_norm_h,
     pochhammer,
     s_value,
+    spectrum,
 )
 
 # high-precision reference values (40-digit big-float evaluation)
-GAMMA_RATIO_2001 = 44.729744193535717925
 LAMBDA_100_S025 = 10.037445400568830802  # Gamma(101.5)/100!
 H0_S025 = 1.3221340210160541337  # sqrt(int_-1^1 (1-x^2)^{1/4} dx)
 
@@ -25,31 +25,6 @@ def test_s_value_rejects_out_of_range():
         with pytest.raises(DomainError):
             s_value(bad)
     assert s_value(0.5) == 0.5
-
-
-def test_gamma_ratio_small_args():
-    assert gamma_ratio(3.0, 1.0) == pytest.approx(2.0, rel=1e-14)
-    n = 50
-    assert gamma_ratio(n + 2.0, n + 1.0) == pytest.approx(n + 1.0, rel=1e-13)
-
-
-def test_gamma_ratio_large_args():
-    assert gamma_ratio(2001.5, 2001.0) == pytest.approx(GAMMA_RATIO_2001, rel=1e-13)
-    # both huge, ratio modest
-    assert gamma_ratio(1e4 + 2.5, 1e4) == pytest.approx(
-        math.exp(math.lgamma(1e4 + 2.5) - math.lgamma(1e4)), rel=1e-10
-    )
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.floats(min_value=0.1, max_value=1e4),
-    st.floats(min_value=0.1, max_value=1e4),
-)
-def test_gamma_ratio_reciprocal(a, b):
-    prod = gamma_ratio(a, b) * gamma_ratio(b, a)
-    if math.isfinite(prod):
-        assert prod == pytest.approx(1.0, rel=1e-13)
 
 
 def test_pochhammer_values():
@@ -111,3 +86,33 @@ def test_gegenbauer_norm_h_asymptotic_bounded():
     s = 0.3
     vals = [gegenbauer_norm_h(j, s) * j ** (0.5 - s) for j in (64, 256, 1024)]
     assert max(vals) / min(vals) < 1.5
+
+
+def test_spectrum_matches_scalar_entries():
+    lam, h = spectrum(40, 0.3)
+    assert lam.shape == h.shape == (41,)
+    for j in (0, 1, 17, 40):
+        assert eigenvalue_lambda(j, 0.3) == lam[j]
+        assert gegenbauer_norm_h(j, 0.3) == h[j]
+    with pytest.raises(DomainError):
+        spectrum(-1, 0.3)
+
+
+@pytest.mark.parametrize("s", [0.1, 0.3, 0.4, 0.6, 0.9])
+def test_spectrum_accuracy_to_4096(s):
+    # the same product recurrence in 30-digit arithmetic, at the float s
+    n = 4096
+    with mpmath.workdps(30):
+        two_s = 2 * mpmath.mpf(s)
+        c = mpmath.mpf(2) ** -two_s * mpmath.pi / mpmath.gamma(mpmath.mpf(s) + 0.5) ** 2
+        lam = mpmath.gamma(two_s + 1)
+        ref_lam = [lam]
+        for j in range(1, n + 1):
+            lam = lam * (j + two_s) / j
+            ref_lam.append(lam)
+        ref_h = [mpmath.sqrt(c * v / (j + mpmath.mpf(s) + 0.5)) for j, v in enumerate(ref_lam)]
+        ref_lam = np.array([float(v) for v in ref_lam])
+        ref_h = np.array([float(v) for v in ref_h])
+    lam, h = spectrum(n, s)
+    assert np.max(np.abs(lam / ref_lam - 1.0)) <= 3e-13
+    assert np.max(np.abs(h / ref_h - 1.0)) <= 3e-13
