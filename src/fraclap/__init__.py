@@ -21,8 +21,6 @@ from .oracle import PVConfig, pv_apply, pv_exterior
 from .problem import ProblemSpec, make_rhs, resolve_rhs
 from .quadrature import QuadratureRule, gauss_jacobi, map_to_interval
 from .sobolev_metrics import (
-    ConvergenceReport,
-    coefficient_decay_check,
     error_between,
     fit_order,
     hrs_norm,

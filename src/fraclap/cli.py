@@ -5,8 +5,9 @@ Subcommands:
   convergence  sweep resolutions, write error table CSV + fitted orders
   eigencheck   run the quadrature-oracle eigenvalue and triangularity sweeps
 
-Configuration comes from an INI-style file (--config) and/or flags;
-flags win over the file, the file wins over defaults.  Exit codes:
+solve and convergence read an INI-style file (--config) and/or flags;
+flags win over the file, the file wins over defaults.  eigencheck reads
+only --s, --n and --out.  Exit codes:
 0 success, 1 solver/check failure, 2 configuration error.
 """
 
@@ -18,6 +19,7 @@ import json
 import re
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -41,28 +43,46 @@ class ConfigError(Exception):
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
+# Precision of every float written to a CSV file.
+_CSV_FLOAT = "%.15e"
+
+
 def _fmt(v: float) -> str:
-    return f"{v:.15e}"
+    return _CSV_FLOAT % v
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per subcommand, each with only the flags it reads.
+
+    The dest of each problem flag is its config-file key, so flags
+    override file values by name.
+    """
     parser = argparse.ArgumentParser(prog="fraclap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_subcommand(name):
+        p = sub.add_parser(name)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
+        return p
+
+    for name in ("solve", "convergence"):
+        p = add_subcommand(name)
         p.add_argument("--config", help="INI config file")
-        p.add_argument("--s", type=float, action="append", help="fractional order (repeatable for eigencheck)")
-        p.add_argument("--interval", nargs=2, type=float, action="append", metavar=("A", "B"))
+        p.add_argument("--s", type=float, help="fractional order")
+        p.add_argument(
+            "--interval", nargs=2, type=float, action="append", dest="intervals", metavar=("A", "B")
+        )
         p.add_argument("--rhs", help="right-hand side NAME[:params]")
         p.add_argument("--n", help="resolution INT or comma list INT,INT,...")
         p.add_argument("--gmres-tol", type=float, dest="gmres_tol")
-        p.add_argument("--ref-n", type=int, dest="ref_n", help="reference resolution for convergence")
+        if name == "convergence":
+            p.add_argument("--ref-n", type=int, dest="ref_n", help="reference resolution")
         p.add_argument("--out", default="fraclap", help="output path prefix")
 
-    for name in ("solve", "convergence", "eigencheck"):
-        p = sub.add_parser(name)
-        p._negative_number_matcher = _NEGATIVE_NUMBER
-        add_common(p)
+    p = add_subcommand("eigencheck")
+    p.add_argument("--s", type=float, action="append", help="fractional order (repeatable)")
+    p.add_argument("--n", help="highest mode index INT")
+    p.add_argument("--out", default="fraclap", help="output path prefix")
     return parser
 
 
@@ -104,20 +124,15 @@ def _config_values(cfg):
     return out
 
 
-def _parse_n(raw):
+def _parse_n(raw) -> tuple[int, ...]:
     try:
-        parts = [int(v) for v in str(raw).split(",")]
+        return tuple(int(v) for v in str(raw).split(","))
     except ValueError:
         raise ConfigError(f"n must be an integer or a comma list of integers, got {raw!r}") from None
-    return parts[0] if len(parts) == 1 else tuple(parts)
 
 
-def _resolve(args, sweep_n=False):
-    """Merge defaults < config file < flags into a resolved problem.
-
-    With sweep_n the n entry is a resolution sweep list; the spec is
-    built at its maximum and the list is returned alongside.
-    """
+def _settings(args) -> dict:
+    """Merge defaults < config file < flags."""
     merged = {
         "s": 0.5,
         "intervals": [(-1.0, 1.0)],
@@ -128,42 +143,25 @@ def _resolve(args, sweep_n=False):
     }
     if args.config:
         merged.update(_load_config(args.config))
-    if args.s:
-        merged["s"] = args.s[-1]
-    if args.interval:
-        merged["intervals"] = [tuple(pair) for pair in args.interval]
-    if args.rhs:
-        merged["rhs"] = args.rhs
-    if args.n is not None:
-        merged["n"] = args.n
-    if args.gmres_tol is not None:
-        merged["gmres_tol"] = args.gmres_tol
-    if args.ref_n is not None:
-        merged["ref_n"] = args.ref_n
+    merged.update((k, v) for k, v in vars(args).items() if k in merged and v is not None)
+    return merged
 
+
+def _spec(settings: dict, n) -> ProblemSpec:
+    """The problem of the merged settings at resolution n."""
+    domain = Domain(tuple(settings["intervals"]))
     try:
-        domain = Domain(tuple(merged["intervals"]))
-    except DomainError as exc:
+        rhs, label = resolve_rhs(settings["rhs"], settings["s"], domain)
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    n_list = None
-    n_value = _parse_n(merged["n"])
-    if sweep_n:
-        n_list = [n_value] if isinstance(n_value, int) else list(n_value)
-        n_value = max(n_list)
-    try:
-        rhs, label = resolve_rhs(str(merged["rhs"]), merged["s"], domain)
-        spec = ProblemSpec(
-            s=float(merged["s"]),
-            domain=domain,
-            rhs=rhs,
-            n=n_value,
-            gmres_tol=float(merged["gmres_tol"]),
-            rhs_label=label,
-        )
-    except (DomainError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    ref_n = merged["ref_n"]
-    return spec, (int(ref_n) if ref_n is not None else None), n_list
+    return ProblemSpec(
+        s=settings["s"],
+        domain=domain,
+        rhs=rhs,
+        n=n,
+        gmres_tol=settings["gmres_tol"],
+        rhs_label=label,
+    )
 
 
 def _solution_json(spec: ProblemSpec, sol) -> dict:
@@ -171,9 +169,7 @@ def _solution_json(spec: ProblemSpec, sol) -> dict:
         "s": spec.s,
         "intervals": [
             {"a": a, "b": b, "n": n, "phi_coeffs": block.coeffs.tolist()}
-            for (a, b), n, block in zip(
-                spec.domain.intervals, spec.n_per_interval(), sol.blocks
-            )
+            for (a, b), n, block in zip(spec.domain.intervals, spec.n, sol.blocks)
         ],
         "gmres": {"iterations": sol.gmres_iterations, "residual": sol.final_residual},
         "rhs": spec.rhs_label,
@@ -188,13 +184,14 @@ def cmd_solve(spec: ProblemSpec, out_prefix: str) -> int:
 
     with open(out_prefix + "_solution.json", "w") as fh:
         json.dump(_solution_json(spec, sol), fh, indent=1)
+    row = ",".join([_CSV_FLOAT] * 3) + "\n"
     with open(out_prefix + "_curve.csv", "w") as fh:
         fh.write("x,u,phi\n")
         for (a, b), block in zip(spec.domain.intervals, sol.blocks):
             x = np.linspace(a, b, 1000)
             phi = evaluate_expansion(block, x)
             u = (x - a) ** spec.s * (b - x) ** spec.s * phi
-            np.savetxt(fh, np.column_stack([x, u, phi]), fmt="%.15e", delimiter=",")
+            fh.write((row * x.size) % tuple(np.column_stack([x, u, phi]).ravel().tolist()))
     print(
         f"solved: {sol.gmres_iterations} GMRES iterations, "
         f"residual {sol.final_residual:.3e}, {elapsed:.4f} s"
@@ -202,25 +199,21 @@ def cmd_solve(spec: ProblemSpec, out_prefix: str) -> int:
     return 0
 
 
-def _reference_solution(spec: ProblemSpec, n_list, ref_n):
-    if ref_n is None:
-        ref_n = max(2 * max(n_list), max(n_list) + 16)
-    return ref_n, multi_interval.solve(spec.with_n(ref_n))
-
-
 def cmd_convergence(spec: ProblemSpec, n_list, ref_n, out_prefix: str) -> int:
     if len(n_list) < 3 or sorted(n_list) != list(n_list):
         raise ConfigError(f"convergence needs an ascending list of >= 3 resolutions, got {n_list}")
-    if ref_n is not None and ref_n <= n_list[-1]:
+    if ref_n is None:
+        ref_n = max(2 * n_list[-1], n_list[-1] + 16)
+    elif ref_n <= n_list[-1]:
         raise ConfigError(f"reference resolution must exceed the largest N = {n_list[-1]}, got {ref_n}")
-    ref_n, ref = _reference_solution(spec, n_list, ref_n)
+    ref = multi_interval.solve(replace(spec, n=ref_n))
     ref_scale = max(
         np.sqrt(sum(sobolev_metrics.hrs_norm(b, 0.0) ** 2 for b in ref.blocks)), 1e-300
     )
     rows = []
     for n in n_list:
         t0 = time.perf_counter()
-        sol = multi_interval.solve(spec.with_n(n))
+        sol = multi_interval.solve(replace(spec, n=n))
         elapsed = time.perf_counter() - t0
         e_l2 = np.sqrt(
             sum(
@@ -235,29 +228,37 @@ def cmd_convergence(spec: ProblemSpec, n_list, ref_n, out_prefix: str) -> int:
             )
         )
         rows.append((n, float(e_l2 / ref_scale), float(e_h / ref_scale), elapsed))
-    report = sobolev_metrics.make_report(
-        spec.s, spec.domain.intervals, spec.rhs_label, rows, ref_n
-    )
+    _, errs_l2, errs_h2s, _ = zip(*rows)
+    order_l2 = order_h2s = None
+    try:
+        order_l2 = sobolev_metrics.fit_order(n_list, errs_l2)
+        order_h2s = sobolev_metrics.fit_order(n_list, errs_h2s)
+    except ValueError:
+        pass
+    try:  # needs at least 6 rows
+        super_algebraic = sobolev_metrics.is_super_algebraic(n_list, errs_l2)
+    except ValueError:
+        super_algebraic = False
     with open(out_prefix + "_convergence.csv", "w") as fh:
         fh.write("N,err_L2s,err_H2ss,seconds\n")
-        for n, e1, e2, sec in report.rows:
+        for n, e1, e2, sec in rows:
             fh.write(f"{n},{_fmt(e1)},{_fmt(e2)},{_fmt(sec)}\n")
     with open(out_prefix + "_orders.json", "w") as fh:
         json.dump(
             {
-                "order_l2": report.order_l2,
-                "order_h2s": report.order_h2s,
-                "super_algebraic": report.super_algebraic,
-                "reference_n": report.reference_n,
+                "order_l2": order_l2,
+                "order_h2s": order_h2s,
+                "super_algebraic": super_algebraic,
+                "reference_n": ref_n,
             },
             fh,
             indent=1,
         )
-    for n, e1, e2, sec in report.rows:
+    for n, e1, e2, sec in rows:
         print(f"N={n:4d}  err_L2s={e1:.4e}  err_H2ss={e2:.4e}  {sec:.4f} s")
     print(
-        f"fitted orders: L2s {report.order_l2}, H2ss {report.order_h2s}, "
-        f"super-algebraic: {report.super_algebraic}"
+        f"fitted orders: L2s {order_l2}, H2ss {order_h2s}, "
+        f"super-algebraic: {super_algebraic}"
     )
     return 0
 
@@ -310,16 +311,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "eigencheck":
-            s_list = args.s or [0.1, 0.25, 0.5, 0.75, 0.9]
-            nmax = 4 if args.n is None else _parse_n(args.n)
-            if not isinstance(nmax, int) or nmax < 0:
+            n = (4,) if args.n is None else _parse_n(args.n)
+            if len(n) != 1 or n[0] < 0:
                 raise ConfigError(f"eigencheck takes one integer n >= 0, got {args.n!r}")
-            return cmd_eigencheck(s_list, nmax, args.out)
+            return cmd_eigencheck(args.s or [0.1, 0.25, 0.5, 0.75, 0.9], n[0], args.out)
+        settings = _settings(args)
+        n = _parse_n(settings["n"])
         if args.command == "solve":
-            spec, _, _ = _resolve(args)
-            return cmd_solve(spec, args.out)
-        spec, ref_n, n_list = _resolve(args, sweep_n=True)
-        return cmd_convergence(spec, n_list, ref_n, args.out)
+            return cmd_solve(_spec(settings, n), args.out)
+        return cmd_convergence(_spec(settings, max(n)), n, settings["ref_n"], args.out)
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -209,11 +209,11 @@ class _Discretization:
     pair's other direction.
     """
 
-    def __init__(self, domain: Domain, s, n_per_interval):
+    def __init__(self, domain: Domain, s, ns):
         self.sv = s_value(s)
         self.domain = domain
-        shared = {n: _ReferenceBlock(n, self.sv) for n in dict.fromkeys(n_per_interval)}
-        self.refs = [shared[n] for n in n_per_interval]
+        shared = {n: _ReferenceBlock(n, self.sv) for n in dict.fromkeys(ns)}
+        self.refs = [shared[n] for n in ns]
         self.rules = [
             map_to_interval(ref.rule, a, b) for ref, (a, b) in zip(self.refs, domain.intervals)
         ]
@@ -250,7 +250,7 @@ def solve(spec) -> MultiSolution:
     interval the remainder vanishes: the coefficients are K^-1 F and
     GMRES is skipped.
     """
-    disc = _Discretization(spec.domain, spec.s, spec.n_per_interval())
+    disc = _Discretization(spec.domain, spec.s, spec.n)
     F = np.concatenate([np.asarray(spec.rhs(rule.nodes), dtype=float) for rule in disc.rules])
 
     if len(spec.domain) == 1:

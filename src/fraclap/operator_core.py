@@ -3,8 +3,8 @@ and inversion in the normalized Gegenbauer basis, plus closed-form
 operator images of weighted monomials used as internal cross-checks.
 
 The closed forms live on the interval (0,1): the image of
-x^s (1-x)^s x^n under the operator is an explicit degree-n polynomial,
-valid for all real x away from 0 and 1.
+x^s (1-x)^s x^n under the operator is an explicit degree-n polynomial
+for x inside (0,1).  Outside [0,1] the image is not that polynomial.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def ts_weighted_monomial_image(n: int, s) -> Polynomial:
     """Image of x^s (1-x)^s x^n on (0,1) under the fractional Laplacian.
 
     p(x) = (1-2s) C_s [ (s+n) L^s_n - (2s+n) L^s_{n+1} ], an exact
-    degree-n polynomial, valid at every real x other than 0 and 1.
+    degree-n polynomial, valid only for x inside (0,1).
     """
     sv = s_value(s)
     if n < 0:

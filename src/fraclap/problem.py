@@ -5,6 +5,7 @@ command-line driver and the experiment scripts.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,39 +19,30 @@ from .specfun import DomainError, gegenbauer_norm_h, s_value
 class ProblemSpec:
     """Everything needed for one solve.
 
-    n may be a single resolution shared by all intervals or one entry
-    per interval; rhs is a vectorized callable f(x).
+    n is stored as one resolution per interval; an int or a 1-tuple
+    given to the constructor is shared by all intervals.  rhs is a
+    vectorized callable f(x).
     """
 
     s: float
     domain: Domain
     rhs: Callable
-    n: int | tuple[int, ...] = 16
+    n: tuple[int, ...] = (16,)
     gmres_tol: float = 1e-13
     rhs_label: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "s", s_value(self.s))
-        ns = self.n_per_interval()
+        ns = tuple(operator.index(v) for v in np.atleast_1d(self.n))
+        if len(ns) == 1:
+            ns *= len(self.domain)
+        if len(ns) != len(self.domain):
+            raise DomainError(f"got {len(ns)} resolutions for {len(self.domain)} intervals")
         if any(n < 1 for n in ns):
             raise DomainError(f"per-interval resolution must be >= 1, got {ns}")
+        object.__setattr__(self, "n", ns)
         if not 0.0 < self.gmres_tol < 1.0:
             raise DomainError(f"gmres tolerance must be in (0, 1), got {self.gmres_tol}")
-
-    def n_per_interval(self) -> tuple[int, ...]:
-        if isinstance(self.n, (int, np.integer)):
-            return (int(self.n),) * len(self.domain)
-        ns = tuple(int(v) for v in self.n)
-        if len(ns) == 1:
-            return ns * len(self.domain)
-        if len(ns) != len(self.domain):
-            raise DomainError(
-                f"got {len(ns)} resolutions for {len(self.domain)} intervals"
-            )
-        return ns
-
-    def with_n(self, n) -> "ProblemSpec":
-        return ProblemSpec(self.s, self.domain, self.rhs, n, self.gmres_tol, self.rhs_label)
 
 
 def make_rhs(name: str, params: str = "") -> tuple[Callable, str]:

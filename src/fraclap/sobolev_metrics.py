@@ -1,6 +1,5 @@
 """Weighted Sobolev norms over Gegenbauer coefficients, error
-measurement between resolutions, convergence-order fitting and
-coefficient-decay diagnostics.
+measurement between resolutions and convergence-order fitting.
 
 The H^r_s norm of a coefficient vector is
 (sum_j |c_j|^2 (1+j^2)^r)^{1/2}; r = 0 recovers the weighted L2 norm
@@ -8,8 +7,6 @@ by Parseval.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,80 +83,3 @@ def is_super_algebraic(ns, errors) -> bool:
     half = ns.size // 2
     tail = _slope_order(ns[half:], errors[half:])
     return tail > full + _SUPER_ALGEBRAIC_MARGIN
-
-
-@dataclass(frozen=True)
-class DecayDiagnostic:
-    exponent: float | None
-    flag: str  # "ok" | "spectrally-exact" | "no-fit"
-
-
-def coefficient_decay_check(c: GegenbauerCoeffs) -> DecayDiagnostic:
-    """Fit |c_j| ~ j^-q over the interior tail j in [n/4, 3n/4] and
-    return q.  The topmost quarter of indices is excluded because for
-    functions of limited smoothness the discrete transform aliases
-    unresolved content into those coefficients, flattening the decay.
-
-    Tails below 1e-13 of the largest coefficient are flagged as
-    spectrally exact; sparse tails (isolated spikes) yield no fit.
-    """
-    if len(c) < 16:
-        raise ValueError(f"decay fit needs at least 16 coefficients, got {len(c)}")
-    n = len(c)
-    start, stop = n // 4, 3 * n // 4 + 1
-    tail = np.abs(c.coeffs[start:stop])
-    j = np.arange(start, stop, dtype=float)
-    scale = np.max(np.abs(c.coeffs))
-    if scale == 0.0 or np.max(tail) < 1e-13 * scale:
-        return DecayDiagnostic(None, "spectrally-exact")
-    keep = tail > 1e-15 * scale
-    if np.count_nonzero(keep) < 5:
-        return DecayDiagnostic(None, "no-fit")
-    slope = np.polyfit(np.log(j[keep]), np.log(tail[keep]), 1)[0]
-    return DecayDiagnostic(float(-slope), "ok")
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Error table for a sweep of resolutions against one reference run.
-
-    Rows are (N, err_L2s, err_H2ss, seconds), sorted by N ascending;
-    fitted orders use all rows of each norm column.
-    """
-
-    s: float
-    domain: tuple[tuple[float, float], ...]
-    rhs_label: str
-    rows: tuple[tuple[int, float, float, float], ...]
-    reference_n: int
-    order_l2: float | None = None
-    order_h2s: float | None = None
-    super_algebraic: bool = False
-
-    def __post_init__(self):
-        ns = [row[0] for row in self.rows]
-        if ns != sorted(ns):
-            raise ValueError("rows must be sorted by N ascending")
-        if any(row[1] < 0.0 or row[2] < 0.0 for row in self.rows):
-            raise ValueError("errors must be nonnegative")
-
-
-def make_report(s, domain, rhs_label, rows, reference_n) -> ConvergenceReport:
-    """Assemble a ConvergenceReport, fitting orders where the data allows."""
-    rows = tuple(sorted(rows, key=lambda row: row[0]))
-    ns = [row[0] for row in rows]
-    order_l2 = order_h2s = None
-    super_flag = False
-    try:
-        order_l2 = fit_order(ns, [row[1] for row in rows])
-        order_h2s = fit_order(ns, [row[2] for row in rows])
-    except ValueError:
-        pass
-    if len(rows) >= 6:
-        try:
-            super_flag = is_super_algebraic(ns, [row[1] for row in rows])
-        except ValueError:
-            pass
-    return ConvergenceReport(
-        float(s), tuple(domain), rhs_label, rows, int(reference_n), order_l2, order_h2s, super_flag
-    )

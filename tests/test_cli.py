@@ -151,6 +151,16 @@ def test_convergence_command(tmp_path):
     assert sidecar["order_l2"] > 2.0
 
 
+def test_convergence_super_algebraic_for_smooth_rhs(tmp_path):
+    out = str(tmp_path / "conv")
+    code = run(
+        ["convergence", "--s", "0.4", "--interval", "-1", "1", "--rhs", "runge",
+         "--n", "8,16,32,64,128,256", "--ref-n", "512", "--out", out]
+    )
+    assert code == 0
+    assert json.loads((tmp_path / "conv_orders.json").read_text())["super_algebraic"] is True
+
+
 def test_convergence_bad_n_list(tmp_path):
     code = run(
         ["convergence", "--interval", "-1", "1", "--n", "32,16", "--out", str(tmp_path / "c")]
@@ -196,6 +206,24 @@ def test_eigencheck_rejects_n_other_than_one_integer(tmp_path, capsys, n):
     err = capsys.readouterr().err
     assert err.startswith("config error") and n in err and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "eig_eigencheck.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--ref-n", "5"],
+        ["eigencheck", "--config", "x.ini"],
+        ["eigencheck", "--interval", "0", "1"],
+        ["eigencheck", "--rhs", "runge"],
+        ["eigencheck", "--gmres-tol", "0.5"],
+    ],
+)
+def test_flag_not_read_by_subcommand_exits_2(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_non_integer_n_exit_code(tmp_path, capsys):

@@ -1,9 +1,11 @@
 import collections
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fraclap.gegenbauer import evaluate_expansion, forward_transform
 from fraclap.multi_interval import (
@@ -196,6 +198,19 @@ def test_per_interval_resolutions():
     assert len(sol.blocks[0]) == 11 and len(sol.blocks[1]) == 15
 
 
+@pytest.mark.parametrize("n", [16, (16,), np.int64(16)])
+def test_problem_spec_stores_a_resolution_for_each_interval(n):
+    dom = Domain(((-3.0, -2.0), (-1.0, 1.0), (2.0, 3.0)))
+    spec = make_spec(dom, 0.5, "constant:1", n)
+    assert spec.n == (16, 16, 16)
+    assert replace(spec, n=8).n == (8, 8, 8)
+    for bad in ((16, 16), (16, 16, 16, 16), 0, (16, 0, 16)):
+        with pytest.raises(DomainError):
+            make_spec(dom, 0.5, "constant:1", bad)
+    with pytest.raises(TypeError):
+        make_spec(dom, 0.5, "constant:1", 16.5)
+
+
 def test_solution_values_against_fine_reference():
     s = 0.5
     dom = two_interval_domain()
@@ -256,3 +271,83 @@ def test_coefficients_solve_residual_equation():
     for block, rule, ry in zip(sol.blocks, rules, RY):
         expect = solve_diagonal(forward_transform(spec.rhs(rule.nodes) - ry, rule, s))
         np.testing.assert_allclose(block.coeffs, expect.coeffs, rtol=0, atol=1e-12 * scale)
+
+
+# Invariances of the discrete solve that the mathematics guarantees,
+# on 2-4 intervals with gaps >= 0.05 (the Nystrom coupling is not
+# accurate for nearly touching intervals).
+INVARIANCE_REL = 1e-12
+
+
+@st.composite
+def domains(draw):
+    m = draw(st.integers(2, 4))
+    a = draw(st.floats(-3.0, 1.0))
+    intervals = []
+    for k in range(m):
+        if k:
+            a += draw(st.floats(0.05, 1.0))
+        length = draw(st.floats(0.2, 2.0))
+        intervals.append((a, a + length))
+        a += length
+    ns = tuple(draw(st.lists(st.integers(6, 24), min_size=m, max_size=m)))
+    return Domain(tuple(intervals)), draw(st.floats(0.1, 0.9)), ns
+
+
+smooth_rhs = st.builds(
+    lambda w, p, c: lambda x: np.cos(w * np.asarray(x, float) + p) + c * np.asarray(x, float),
+    st.floats(0.5, 2.0),
+    st.floats(0.0, 1.0),
+    st.floats(-1.0, 1.0),
+)
+nonzero_factor = st.one_of(st.floats(-2.0, -0.1), st.floats(0.1, 2.0))
+
+
+def phi_blocks(domain, s, ns, f):
+    return [block.coeffs for block in solve(ProblemSpec(s, domain, f, ns)).blocks]
+
+
+def peak(blocks):
+    return max(np.max(np.abs(c)) for c in blocks)
+
+
+def assert_blocks_close(got, want, scale):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=0, atol=INVARIANCE_REL * scale)
+
+
+@settings(max_examples=20, deadline=None)
+@given(domains(), smooth_rhs, st.floats(0.5, 2.0), st.floats(-3.0, 3.0))
+def test_invariance_under_translation_and_scale(problem, f, scale, shift):
+    # blocks live in each interval's reference frame, so Omega -> L Omega + t
+    # with f -> f((x - t) / L) leaves every phi block unchanged
+    domain, s, ns = problem
+    moved = Domain(tuple((scale * a + shift, scale * b + shift) for a, b in domain.intervals))
+    base = phi_blocks(domain, s, ns, f)
+    got = phi_blocks(moved, s, ns, lambda x: f((np.asarray(x, float) - shift) / scale))
+    assert_blocks_close(got, base, peak(base))
+
+
+@settings(max_examples=20, deadline=None)
+@given(domains(), smooth_rhs)
+def test_invariance_under_reflection(problem, f):
+    # x -> -x reverses the block order and the reference variable, which
+    # flips the sign of the odd coefficients
+    domain, s, ns = problem
+    mirrored = Domain(tuple((-b, -a) for a, b in reversed(domain.intervals)))
+    base = phi_blocks(domain, s, ns, f)
+    got = phi_blocks(mirrored, s, ns[::-1], lambda x: f(-np.asarray(x, float)))
+    want = [(-1.0) ** np.arange(c.size) * c for c in base[::-1]]
+    assert_blocks_close(got, want, peak(base))
+
+
+@settings(max_examples=20, deadline=None)
+@given(domains(), smooth_rhs, smooth_rhs, nonzero_factor, nonzero_factor)
+def test_linearity_in_rhs(problem, f, g, alpha, beta):
+    domain, s, ns = problem
+    phi_f = phi_blocks(domain, s, ns, f)
+    phi_g = phi_blocks(domain, s, ns, g)
+    got = phi_blocks(domain, s, ns, lambda x: alpha * f(x) + beta * g(x))
+    want = [alpha * cf + beta * cg for cf, cg in zip(phi_f, phi_g)]
+    assert_blocks_close(got, want, abs(alpha) * peak(phi_f) + abs(beta) * peak(phi_g))

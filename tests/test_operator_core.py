@@ -20,6 +20,7 @@ from fraclap.operator_core import (
     solve_diagonal,
     ts_weighted_monomial_image,
 )
+from fraclap.oracle import pv_exterior
 from fraclap.quadrature import gauss_jacobi, map_to_interval
 from fraclap.specfun import DomainError, eigenvalue_lambda
 
@@ -101,6 +102,18 @@ def test_image_constant_mode():
         p = ts_weighted_monomial_image(0, s)
         assert p.degree == 0
         assert p.coeffs[0] == pytest.approx(math.gamma(2 * s + 1), rel=1e-12)
+
+
+def test_image_polynomial_only_inside_unit_interval():
+    # s = 1/2, n = 0: the image of sqrt(x(1-x)) is 1 on (0,1), but at
+    # x = 1.5 it is the exterior integral 1 - 1/sqrt(0.75)
+    s = 0.5
+    p = ts_weighted_monomial_image(0, s)
+    u = lambda z: (np.asarray(z, float) * (1.0 - np.asarray(z, float))) ** s
+    exterior = pv_exterior(u, 1.5, s, (0.0, 1.0))
+    assert exterior == pytest.approx(1.0 - 1.0 / math.sqrt(0.75), rel=1e-10)
+    assert p(1.5) == pytest.approx(1.0, rel=1e-14)
+    assert abs(p(1.5) - exterior) > 1.0
 
 
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])

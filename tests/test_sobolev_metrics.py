@@ -4,19 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fraclap.gegenbauer import (
-    GegenbauerCoeffs,
-    forward_transform,
-)
-from fraclap.quadrature import gauss_jacobi
+from fraclap.gegenbauer import GegenbauerCoeffs
 from fraclap.sobolev_metrics import (
-    ConvergenceReport,
-    coefficient_decay_check,
     error_between,
     fit_order,
     hrs_norm,
     is_super_algebraic,
-    make_report,
 )
 from fraclap.specfun import DomainError
 
@@ -97,46 +90,3 @@ def test_super_algebraic_ignores_roundoff_floor():
     assert not is_super_algebraic(ns, ns**-2.0)
     # a floor reached within two rows leaves nothing to compare
     assert not is_super_algebraic(ns, np.array([1e-3, 1e-9, 1e-15, 1e-15, 1e-15, 1e-15]))
-
-
-def test_decay_check_spike():
-    vec = np.zeros(20)
-    vec[10] = 1.0
-    diag = coefficient_decay_check(coeffs(vec))
-    assert diag.flag == "no-fit" and diag.exponent is None
-
-
-def test_decay_check_spectrally_exact():
-    # transform of a degree-5 polynomial at high resolution: tail is noise
-    s = 0.4
-    n = 40
-    rule = gauss_jacobi(n, s)
-    vals = np.polynomial.polynomial.polyval(rule.nodes, np.array([1.0, -1, 0.5, 0, 2, 0.3]))
-    c = forward_transform(vals, rule, s)
-    diag = coefficient_decay_check(c)
-    assert diag.flag == "spectrally-exact"
-
-
-@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
-def test_decay_of_absx_coefficients(s):
-    n = 256
-    rule = gauss_jacobi(n, s)
-    c = forward_transform(np.abs(rule.nodes), rule, s)
-    diag = coefficient_decay_check(c)
-    assert diag.flag == "ok"
-    assert diag.exponent >= 1.3
-
-
-def test_decay_check_requires_length():
-    with pytest.raises(ValueError):
-        coefficient_decay_check(coeffs(np.ones(8)))
-
-
-def test_report_assembly():
-    rows = [(8, 1e-2, 2e-2, 0.1), (16, 2.5e-3, 8e-3, 0.2), (32, 6e-4, 3e-3, 0.4)]
-    rep = make_report(0.5, ((-1.0, 1.0),), "absx", rows, 64)
-    assert rep.rows[0][0] == 8
-    assert rep.order_l2 == pytest.approx(2.0, abs=0.1)
-    assert not rep.super_algebraic
-    with pytest.raises(ValueError):
-        ConvergenceReport(0.5, ((-1.0, 1.0),), "absx", ((16, 1e-3, 1e-3, 0.1), (8, 1e-2, 1e-2, 0.1)), 64)
