@@ -96,28 +96,37 @@ def _load_config(path):
         raise ConfigError(f"cannot read config file {path!r}")
     try:
         return _config_values(cfg)
-    except ValueError as exc:
+    except (ValueError, configparser.Error) as exc:  # configparser: a bad % interpolation
         raise ConfigError(f"config file {path!r}: {exc}") from exc
 
 
+# The keys of a config file's [problem] section and how each is read.
+# ref_n is accepted by solve too, so one file can serve both subcommands.
+_PROBLEM_KEYS = {"s": float, "gmres_tol": float, "rhs": str, "n": str, "ref_n": int}
+
+
 def _config_values(cfg):
+    """The settings of a parsed config file: a [problem] section and any
+    number of [interval] / [interval.<name>] sections with keys a and b.
+    Any other section or key is an error."""
+    if cfg.defaults():
+        raise ConfigError("unknown section [DEFAULT]")
     out = {}
-    if cfg.has_section("problem"):
-        sec = cfg["problem"]
-        for key in ("s", "gmres_tol"):
-            if key in sec:
-                out[key] = float(sec[key])
-        for key in ("rhs", "n"):
-            if key in sec:
-                out[key] = sec[key]
-        if "ref_n" in sec:
-            out["ref_n"] = int(sec["ref_n"])
     intervals = []
     for section in cfg.sections():
-        if section.startswith("interval"):
-            sec = cfg[section]
-            if "a" not in sec or "b" not in sec:
-                raise ConfigError(f"section [{section}] needs both a and b")
+        sec = cfg[section]
+        is_interval = section == "interval" or section.startswith("interval.")
+        if section != "problem" and not is_interval:
+            raise ConfigError(f"unknown section [{section}]")
+        known = ("a", "b") if is_interval else _PROBLEM_KEYS
+        unknown = [key for key in sec if key not in known]
+        if unknown:
+            raise ConfigError(f"unknown key {unknown[0]!r} in [{section}]")
+        if not is_interval:
+            out.update((key, _PROBLEM_KEYS[key](sec[key])) for key in sec)
+        elif "a" not in sec or "b" not in sec:
+            raise ConfigError(f"section [{section}] needs both a and b")
+        else:
             intervals.append((float(sec["a"]), float(sec["b"])))
     if intervals:
         out["intervals"] = intervals

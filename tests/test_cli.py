@@ -242,6 +242,46 @@ def test_config_interval_without_endpoint_exit_code(tmp_path, capsys):
     assert "[interval.1]" in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "text, name",
+    [
+        ("[problem]\ns = 0.3\ngmres-tol = 0.5\n", "'gmres-tol' in [problem]"),
+        ("[problem]\ns = 0.3\nresolution = 8\n", "'resolution' in [problem]"),
+        ("[problem]\ns = 0.3\n\n[intervall]\na = -1\nb = 1\n", "[intervall]"),
+        ("[problem]\ns = 0.3\n\n[interval_x]\na = -1\nb = 1\n", "[interval_x]"),
+        ("[problem]\ns = 0.3\n\n[interval.1]\na = -1\nb = 1\nwidth = 2\n", "'width' in [interval.1]"),
+    ],
+    ids=["problem-dashed-key", "problem-unknown-key", "misspelt-section", "interval-underscore", "interval-unknown-key"],
+)
+@pytest.mark.parametrize("command", ["solve", "convergence"])
+def test_config_unknown_name_exits_2(tmp_path, capsys, command, text, name):
+    cfg = tmp_path / "problem.ini"
+    cfg.write_text(text)
+    n = "8,16,32" if command == "convergence" else "8"
+    code = run([command, "--config", str(cfg), "--n", n, "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and name in err and len(err.strip().splitlines()) == 1
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_config_bad_interpolation_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "problem.ini"
+    cfg.write_text("[problem]\ns = 0.5\nrhs = constant:1%\n")
+    code = run(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "'%'" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "convergence"])
+def test_config_ref_n_accepted_by_both_subcommands(tmp_path, command):
+    cfg = tmp_path / "problem.ini"
+    cfg.write_text("[problem]\ns = 0.5\nn = 8,16,32\nref_n = 64\n\n[interval]\na = -1\nb = 1\n")
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "x")]
+    assert run(argv if command == "convergence" else argv + ["--n", "8"]) == 0
+
+
 def test_negative_endpoints_in_exponent_notation(tmp_path):
     out = str(tmp_path / "exp")
     code = run(

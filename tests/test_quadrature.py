@@ -1,5 +1,8 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import beta as sp_beta
@@ -31,7 +34,7 @@ def test_single_point_rule():
 
 
 @pytest.mark.parametrize("n", [4, 8, 16, 32])
-@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("alpha", [0.0, 0.1, 0.5, 0.9, 2.0])
 def test_exactness_sweep(n, alpha):
     r = gauss_jacobi(n, alpha)
     scale = total_mass(alpha)
@@ -104,3 +107,88 @@ def test_type_validation():
     assert math.isfinite(total_mass(170.0))
     with pytest.raises(DomainError):
         total_mass(170.5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_chebyshev_rule_closed_form(n):
+    # alpha = -1/2 is the Chebyshev weight 1/sqrt(1-x^2)
+    r = gauss_jacobi(n, -0.5)
+    i = np.arange(n, -1, -1)
+    np.testing.assert_allclose(r.nodes, np.cos((2 * i + 1) * np.pi / (2 * n + 2)), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(r.weights, np.pi / (n + 1), rtol=1e-14)
+
+
+def test_rule_builds_no_square_array():
+    # an (n+1)^2 float array at n = 4096 alone would be 134 MB
+    tracemalloc.start()
+    try:
+        gauss_jacobi(4096, 0.4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+# Reference rules at about 34 digits.  The three-term recurrence runs in
+# fixed point on Python integers (scale 2^-112), vectorized over the
+# nodes; in mpmath numbers the n = 1024 cases alone take over a minute.
+# mpmath at 34 digits does the Newton updates, the normalization and the
+# weights.
+FIX = 112
+
+
+def fixed(v) -> int:
+    return round(Fraction(v) * (1 << FIX))
+
+
+def jacobi_pair(m, alpha, x):
+    """P_m and P_{m-1} for (alpha, alpha) at fixed-point x (object array), in fixed point."""
+    a = Fraction(alpha)
+    p0, p1 = np.full(x.shape, 1 << FIX, dtype=object), (fixed(a + 1) * x) >> FIX
+    for k in range(2, m + 1):
+        c = 2 * k + 2 * a
+        d = 2 * k * (k + 2 * a) * (c - 2)
+        u, v = fixed((c - 1) * c * (c - 2) / d), fixed(2 * (k + a - 1) ** 2 * c / d)
+        p0, p1 = p1, (((u * x) >> FIX) * p1 - v * p0) >> FIX
+    return p1, p0
+
+
+def reference_rule(n, alpha, x0):
+    """Nodes and weights of the (n+1)-point rule near the float nodes x0:
+    Newton on P_{n+1}, weights K (1-x^2) / ((n+1+alpha) P_n(x))^2 from
+    (1-x^2) P'_m = -m x P_m + (m+alpha) P_{m-1}."""
+    m = n + 1
+    with mpmath.workdps(34):
+        a = mpmath.mpf(alpha)
+
+        def pair(points):
+            xf = np.array([int(mpmath.nint(mpmath.ldexp(t, FIX))) for t in points], dtype=object)
+            return ([mpmath.ldexp(mpmath.mpf(v), -FIX) for v in w] for w in jacobi_pair(m, alpha, xf))
+
+        x = [mpmath.mpf(float(v)) for v in x0]
+        for _ in range(2):
+            p, q = pair(x)
+            x = [t - pt * (1 - t * t) / (-m * t * pt + (m + a) * qt) for t, pt, qt in zip(x, p, q)]
+        _, q = pair(x)
+        k = 2 ** (2 * a + 1) * mpmath.gamma(m + a + 1) ** 2 / (mpmath.gamma(m + 2 * a + 1) * mpmath.factorial(m))
+        w = [k * (1 - t * t) / ((m + a) * qt) ** 2 for t, qt in zip(x, q)]
+    return x, w
+
+
+@pytest.mark.parametrize("n", [32, 255, 1024])
+@pytest.mark.parametrize("alpha", [0.25, 0.4, 0.75])
+def test_rule_matches_extended_precision_reference(n, alpha):
+    r = gauss_jacobi(n, alpha)
+    half = slice((n + 1) // 2, None)  # x >= 0; the rule is mirror-symmetric
+    ref_x, ref_w = reference_rule(n, alpha, r.nodes[half])
+    with mpmath.workdps(34):
+        node_err = np.array([float(abs(mpmath.mpf(float(v)) - t)) for v, t in zip(r.nodes[half], ref_x)])
+        weight_err = np.array([float(abs(mpmath.mpf(float(v)) / t - 1)) for v, t in zip(r.weights[half], ref_w)])
+        outermost_gap = float(1 - ref_x[-1])
+    assert node_err.max() <= 3e-16
+    # inner 90 % of the nodes
+    inner = r.nodes[half] <= np.quantile(np.abs(r.nodes), 0.9)
+    assert weight_err[inner].max() <= 1e-13
+    # Near the endpoints 1-x^2 is formed from a rounded x, so no method
+    # keeps more relative accuracy than one rounding of x against 1-x.
+    assert weight_err.max() <= np.finfo(float).eps / outermost_gap
