@@ -209,8 +209,10 @@ def cmd_solve(spec: ProblemSpec, out_prefix: str) -> int:
 
 
 def cmd_convergence(spec: ProblemSpec, n_list, ref_n, out_prefix: str) -> int:
-    if len(n_list) < 3 or sorted(n_list) != list(n_list):
-        raise ConfigError(f"convergence needs an ascending list of >= 3 resolutions, got {n_list}")
+    if len(n_list) < 3 or any(lo >= hi for lo, hi in zip(n_list, n_list[1:])):
+        raise ConfigError(
+            f"convergence needs a strictly ascending list of >= 3 resolutions, got {n_list}"
+        )
     if ref_n is None:
         ref_n = max(2 * n_list[-1], n_list[-1] + 16)
     elif ref_n <= n_list[-1]:

@@ -17,6 +17,7 @@ bounded as the resolution grows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,8 @@ class Domain:
         if not ivs:
             raise DomainError("domain needs at least one interval")
         for a, b in ivs:
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise DomainError(f"interval endpoints must be finite, got ({a}, {b})")
             if not a < b:
                 raise DomainError(f"interval endpoints must satisfy a < b, got ({a}, {b})")
         for (a0, b0), (a1, b1) in zip(ivs, ivs[1:]):
@@ -246,12 +249,14 @@ def solve(spec) -> MultiSolution:
     """Solve the Dirichlet problem of the given ProblemSpec.
 
     Assembles the discrete operator, samples the right-hand side at the
-    nodes, and iterates GMRES on Y -> Y + K^-1 R Y.  With a single
-    interval the remainder vanishes: the coefficients are K^-1 F and
-    GMRES is skipped.
+    nodes (DomainError unless every sample is finite), and iterates
+    GMRES on Y -> Y + K^-1 R Y.  With a single interval the remainder
+    vanishes: the coefficients are K^-1 F and GMRES is skipped.
     """
     disc = _Discretization(spec.domain, spec.s, spec.n)
     F = np.concatenate([np.asarray(spec.rhs(rule.nodes), dtype=float) for rule in disc.rules])
+    if not np.all(np.isfinite(F)):
+        raise DomainError("the right-hand side is not finite at every quadrature node")
 
     if len(spec.domain) == 1:
         blocks = disc.solution_blocks(disc.kinv_coeffs(F))

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .operator_core import c1_constant
 from .specfun import DomainError, gegenbauer_norm_h, s_value
@@ -60,7 +59,10 @@ def _legendre(order: int):
 
 @lru_cache(maxsize=None)
 def _jacobi_left(order: int, beta: float):
-    # weight (1+t)^beta on (-1,1); beta > -1
+    # weight (1+t)^beta on (-1,1); beta > -1.  SciPy is imported here so
+    # that the solver, which never calls the oracle, does not load it.
+    from scipy.special import roots_jacobi
+
     return roots_jacobi(order, 0.0, beta)
 
 

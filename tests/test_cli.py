@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fraclap
 from fraclap.cli import main
 from fraclap.gegenbauer import GegenbauerCoeffs, evaluate_expansion
 from fraclap.specfun import eigenvalue_lambda
@@ -90,6 +94,32 @@ def test_bad_rhs_exit_code(tmp_path):
     assert code == 2
 
 
+def assert_config_error(code, capsys):
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--rhs", "constant:nan"],
+        ["--rhs", "polynomial:1,nan"],
+        ["--rhs", "constant:inf", "--interval", "-1", "-0.1", "--interval", "0.1", "1"],
+    ],
+)
+def test_non_finite_rhs_exit_code(tmp_path, capsys, argv):
+    code = run(["solve", *argv, "--n", "4", "--out", str(tmp_path / "x")])
+    assert_config_error(code, capsys)
+    assert not (tmp_path / "x_solution.json").exists()
+
+
+@pytest.mark.parametrize("endpoints", [("0", "inf"), ("nan", "1"), ("0", "1e308")])
+def test_unusable_endpoints_exit_code(tmp_path, capsys, endpoints):
+    code = run(["solve", "--interval", *endpoints, "--n", "4", "--out", str(tmp_path / "x")])
+    assert_config_error(code, capsys)
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "problem.ini"
     cfg.write_text(
@@ -166,6 +196,12 @@ def test_convergence_bad_n_list(tmp_path):
         ["convergence", "--interval", "-1", "1", "--n", "32,16", "--out", str(tmp_path / "c")]
     )
     assert code == 2
+
+
+def test_convergence_repeated_n_exit_code(tmp_path, capsys):
+    code = run(["convergence", "--n", "8,8,16", "--out", str(tmp_path / "c")])
+    assert_config_error(code, capsys)
+    assert not (tmp_path / "c_convergence.csv").exists()
 
 
 @pytest.mark.parametrize("ref_n", ["32", "64"])
@@ -290,3 +326,23 @@ def test_negative_endpoints_in_exponent_notation(tmp_path):
     assert code == 0
     doc = json.loads((tmp_path / "exp_solution.json").read_text())
     assert [(b["a"], b["b"]) for b in doc["intervals"]] == [(-2.0, -0.1), (0.1, 2.0)]
+
+
+def test_solve_and_convergence_load_no_scipy(tmp_path):
+    # SciPy is a test and eigencheck dependency only; a fresh interpreter
+    # that imports the package and runs both solver subcommands must not
+    # load any scipy module
+    script = """
+import sys
+import fraclap, fraclap.cli
+assert fraclap.cli.main(["solve", "--interval", "-1", "-0.1", "--interval", "0.1", "1", "--n", "8"]) == 0
+assert fraclap.cli.main(["convergence", "--n", "8,16,32", "--ref-n", "64"]) == 0
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+"""
+    src = os.path.dirname(os.path.dirname(fraclap.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

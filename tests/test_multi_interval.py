@@ -36,6 +36,21 @@ def test_domain_validation():
         Domain(((-1.0, 0.0), (0.0, 1.0)))  # touching closures
     with pytest.raises(DomainError):
         Domain(())
+    for interval in ((0.0, np.inf), (-np.inf, 0.0), (0.0, np.nan)):
+        with pytest.raises(DomainError):
+            Domain((interval,))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("intervals", [((-1.0, 1.0),), ((-1.0, -0.1), (0.1, 1.0))])
+def test_solve_rejects_non_finite_rhs(intervals, value):
+    def f(x):
+        out = np.ones_like(x)
+        out[len(out) // 2] = value
+        return out
+
+    with pytest.raises(DomainError):
+        solve(ProblemSpec(0.5, Domain(intervals), f, n=8))
 
 
 def test_offdiagonal_single_interval_zero():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import beta as sp_beta
 
 from fraclap.quadrature import (
@@ -94,6 +95,10 @@ def test_map_to_interval():
 
     with pytest.raises(DomainError):
         map_to_interval(r, 2.0, 1.0)
+    # ((b-a)/2)^(2 alpha + 1) overflows, or underflows to 0
+    for a, b in ((0.0, 1e308), (-1e308, 1e308), (0.0, 1e-200)):
+        with pytest.raises(DomainError):
+            map_to_interval(gauss_jacobi(4, 0.9), a, b)
 
 
 def test_type_validation():
@@ -107,6 +112,32 @@ def test_type_validation():
     assert math.isfinite(total_mass(170.0))
     with pytest.raises(DomainError):
         total_mass(170.5)
+
+
+def test_rule_domain_ends_at_alpha_10():
+    # the range test_nodes_match_tridiagonal_eigenvalues covers
+    assert len(gauss_jacobi(64, 10.0)) == 65
+    for alpha in (np.nextafter(10.0, np.inf), 12.0, 170.0):
+        with pytest.raises(DomainError):
+            gauss_jacobi(64, alpha)
+
+
+def golub_welsch_nodes(n, alpha):
+    """Eigenvalues of the symmetric tridiagonal Jacobi matrix of the weight."""
+    k = np.arange(2, n + 1, dtype=float)
+    beta = np.concatenate((
+        [1.0 / (2.0 * alpha + 3.0)],
+        k * (k + 2.0 * alpha) / ((2.0 * k + 2.0 * alpha + 1.0) * (2.0 * k + 2.0 * alpha - 1.0)),
+    ))
+    return eigvalsh_tridiagonal(np.zeros(n + 1), np.sqrt(beta))
+
+
+@pytest.mark.parametrize("alpha", [-0.999, -0.5, 0.0, 0.5, 2.0, 5.0, 10.0])
+def test_nodes_match_tridiagonal_eigenvalues(alpha):
+    # the documented exponent range (-1, 10]
+    for n in [*range(1, 41), 63, 64, 127, 255, 511, 1024, 2048]:
+        r = gauss_jacobi(n, alpha)
+        np.testing.assert_allclose(r.nodes, golub_welsch_nodes(n, alpha), rtol=0, atol=1e-14, err_msg=f"n={n}")
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 64])
@@ -189,6 +220,7 @@ def test_rule_matches_extended_precision_reference(n, alpha):
     # inner 90 % of the nodes
     inner = r.nodes[half] <= np.quantile(np.abs(r.nodes), 0.9)
     assert weight_err[inner].max() <= 1e-13
-    # Near the endpoints 1-x^2 is formed from a rounded x, so no method
-    # keeps more relative accuracy than one rounding of x against 1-x.
+    # Near the endpoints one rounding of x against 1-x costs eps/(1-x)
+    # relative; the weights are taken at the unrounded root instead
     assert weight_err.max() <= np.finfo(float).eps / outermost_gap
+    assert weight_err.max() <= 1e-13
