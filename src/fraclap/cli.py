@@ -37,10 +37,12 @@ class ConfigError(Exception):
 
 
 # Tokens argparse must read as negative numbers rather than options:
-# its default pattern misses exponent notation such as -2e0 or -1e-1.
-# argparse has no public setting for it, so each subcommand parser's
-# internal matcher is replaced.
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+# its default pattern misses exponent notation such as -2e0 or -1e-1,
+# and the non-finite spellings float() accepts (-inf, -infinity, -nan,
+# any case), which validation then rejects by name.  argparse has no
+# public setting for it, so each subcommand parser's internal matcher
+# is replaced.
+_NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|(?i:inf|infinity|nan))$")
 
 
 # Precision of every float written to a CSV file.

@@ -49,6 +49,8 @@ def eval_gegenbauer_batch(n: int, alpha: float, x) -> np.ndarray:
 
     Returns an array of shape (n+1,) + shape(x).  The three-term
     recurrence is global in x, so arguments outside [-1,1] are fine.
+    Each row is filled in place, in the operation order of
+    C_j = (2x (j+alpha-1) C_{j-1} - (j+2alpha-2) C_{j-2}) / j.
     """
     if n < 0:
         raise DomainError(f"degree must be >= 0, got {n}")
@@ -59,8 +61,15 @@ def eval_gegenbauer_batch(n: int, alpha: float, x) -> np.ndarray:
     out[0] = 1.0
     if n >= 1:
         out[1] = 2.0 * alpha * x
-    for j in range(2, n + 1):
-        out[j] = (2.0 * x * (j + alpha - 1.0) * out[j - 1] - (j + 2.0 * alpha - 2.0) * out[j - 2]) / j
+    x2 = 2.0 * x
+    tmp = np.empty(x.shape)
+    for j in range(2, n + 1):  # row views: out[j, ...] stays an array when x is 0-d
+        row = out[j, ...]
+        np.multiply(x2, j + alpha - 1.0, out=row)
+        row *= out[j - 1, ...]
+        np.multiply(j + 2.0 * alpha - 2.0, out[j - 2, ...], out=tmp)
+        row -= tmp
+        row /= j
     return out
 
 

@@ -13,6 +13,12 @@ fixed the discrete operator is a constant: it is assembled once per
 solve (one Gegenbauer table per distinct resolution, one kernel block
 per pair of intervals) and GMRES only applies it; iteration counts stay
 bounded as the resolution grows.
+
+The Gauss-Jacobi nodes are symmetric about 0 and C_j(-x) = (-1)^j C_j(x),
+so each table holds only the nonnegative half of its nodes: the even
+modes see the sum of mirrored node values and the odd modes their
+difference.  K^-1 is applied to all intervals of one resolution at
+once, as two GEMMs with the table's even and odd rows each way.
 """
 
 from __future__ import annotations
@@ -183,44 +189,77 @@ def gmres(apply_A, rhs, tol: float = 1e-13, maxit: int | None = None) -> GMRESRe
 class _ReferenceBlock:
     """K^-1 for every interval of resolution n, in the reference frame.
 
-    Holds the Gauss-Jacobi rule, the table T[j, i] = C_j^{(s+1/2)}(x_i)
-    at its nodes, the norms h_j and the eigenvalues lambda_j.  K^-1 is
+    Holds the Gauss-Jacobi rule, the half-width table
+    T[j, i] = C_j^{(s+1/2)}(x_i) on the rule's ceil((n+1)/2) nonnegative
+    nodes, the norms h_j and the eigenvalues lambda_j.  K^-1 is
     interval-independent in this frame (affine scale invariance), so
     all intervals of resolution n share one block.
+
+    The rule is exactly symmetric and C_j(-x) = (-1)^j C_j(x), so the
+    even rows of T act on the sum of each node's value and its mirror
+    image's, and the odd rows on their difference; the centre node of
+    an odd-sized rule is counted once.  coeffs and values work on the
+    last axis, so one call serves a stack of intervals: two GEMMs each
+    way, with the strided row views T[0::2] and T[1::2].
     """
 
     def __init__(self, n: int, sv: float):
         self.rule = gauss_jacobi(n, sv)
-        self.table = eval_gegenbauer_batch(n, sv + 0.5, self.rule.nodes)
+        self.lower = (n + 1) // 2  # nodes below 0; rule.nodes[lower:] are the rest
+        self.centre = (n + 1) % 2  # 1 when 0 is a node
+        self.table = eval_gegenbauer_batch(n, sv + 0.5, self.rule.nodes[self.lower:])
         self.lam, self.norms = spectrum(n, sv)
 
     def coeffs(self, values):
         """Coefficients phi_j = f_j / lambda_j of K^-1 f, from the node values of f."""
-        return self.table @ (values * self.rule.weights) / self.norms / self.lam
+        weighted = values * self.rule.weights
+        mirrored = weighted[..., : self.lower][..., ::-1]
+        plus = weighted[..., self.lower:].copy()
+        minus = plus.copy()
+        plus[..., self.centre:] += mirrored
+        minus[..., self.centre:] -= mirrored
+        out = np.empty(weighted.shape)
+        out[..., 0::2] = plus @ self.table[0::2].T
+        out[..., 1::2] = minus @ self.table[1::2].T
+        return out / self.norms / self.lam
 
     def values(self, coeffs):
         """Node values of sum_j c_j C~_j."""
-        return (coeffs / self.norms) @ self.table
+        scaled = coeffs / self.norms
+        even = scaled[..., 0::2] @ self.table[0::2]
+        odd = scaled[..., 1::2] @ self.table[1::2]
+        below = (even - odd)[..., self.centre:][..., ::-1]
+        return np.concatenate((below, even + odd), axis=-1)
 
 
 class _Discretization:
     """The discrete operator of one solve, assembled once.
 
-    Intervals of equal resolution share a _ReferenceBlock, so K^-1 on a
-    block is two GEMVs with its table.  The coupling holds one kernel
-    block per pair of intervals j < l and applies its transpose for the
-    pair's other direction.
+    Intervals of equal resolution share a _ReferenceBlock, and K^-1 is
+    applied to all of them at once: their node values are gathered into
+    one stack, so each distinct resolution costs two GEMMs each way
+    however many intervals use it.  The coupling holds one kernel block
+    per pair of intervals j < l and applies its transpose for the pair's
+    other direction.
     """
 
     def __init__(self, domain: Domain, s, ns):
         self.sv = s_value(s)
         self.domain = domain
-        shared = {n: _ReferenceBlock(n, self.sv) for n in dict.fromkeys(ns)}
-        self.refs = [shared[n] for n in ns]
+        members = {}
+        for j, n in enumerate(ns):
+            members.setdefault(n, []).append(j)
+        refs = {n: _ReferenceBlock(n, self.sv) for n in members}
         self.rules = [
-            map_to_interval(ref.rule, a, b) for ref, (a, b) in zip(self.refs, domain.intervals)
+            map_to_interval(refs[n].rule, a, b) for n, (a, b) in zip(ns, domain.intervals)
         ]
         self.offsets = np.concatenate([[0], np.cumsum([len(r) for r in self.rules])])
+        # per resolution: its block, its intervals, and the (intervals, n+1)
+        # positions of their node values in the concatenated vector
+        self.groups = [
+            (refs[n], js, self.offsets[js][:, None] + np.arange(n + 1))
+            for n, js in members.items()
+        ]
         self.kernels = _coupling_kernels(self.rules, self.sv)
         self.c1 = c1_constant(self.sv)
 
@@ -229,10 +268,17 @@ class _Discretization:
 
     def kinv_coeffs(self, Y):
         """Per-interval coefficient vectors of K^-1 Y."""
-        return [ref.coeffs(v) for ref, v in zip(self.refs, self.split(Y))]
+        blocks = [None] * len(self.rules)
+        for ref, js, rows in self.groups:
+            for j, c in zip(js, ref.coeffs(Y[rows])):
+                blocks[j] = c
+        return blocks
 
     def kinv(self, Y):
-        return np.concatenate([ref.values(c) for ref, c in zip(self.refs, self.kinv_coeffs(Y))])
+        out = np.empty(Y.size)
+        for ref, _, rows in self.groups:
+            out[rows] = ref.values(ref.coeffs(Y[rows]))
+        return out
 
     def offdiag(self, Y):
         weighted = [v * rule.weights for v, rule in zip(self.split(Y), self.rules)]

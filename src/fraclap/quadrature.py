@@ -185,5 +185,11 @@ def map_to_interval(rule: QuadratureRule, a: float, b: float) -> QuadratureRule:
     if not 0.0 < scale < math.inf:
         raise DomainError(f"weight scale of the interval ({a}, {b}) is outside the range of a double")
     nodes = a + half * (rule.nodes + 1.0)
+    # an interval short beside its offset rounds neighbouring nodes together
+    if not (a < nodes[0] and nodes[-1] < b and np.all(np.diff(nodes) > 0.0)):
+        raise DomainError(
+            f"the {len(rule)} nodes mapped to the interval ({a}, {b}) are not strictly "
+            "increasing inside it in double precision"
+        )
     weights = rule.weights * scale
     return QuadratureRule(rule.alpha, nodes, weights, interval=(a, b))

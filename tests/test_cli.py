@@ -120,6 +120,28 @@ def test_unusable_endpoints_exit_code(tmp_path, capsys, endpoints):
     assert_config_error(code, capsys)
 
 
+@pytest.mark.parametrize(
+    "endpoints",
+    [("-inf", "0"), ("-Inf", "0"), ("-INFINITY", "0"), ("-infinity", "1"), ("-nan", "1"), ("0", "-NaN")],
+)
+def test_negative_non_finite_endpoints_reach_validation(tmp_path, capsys, endpoints):
+    # argparse must take these for numbers, not options, so the endpoint
+    # check names them
+    code = run(["solve", "--interval", *endpoints, "--n", "4", "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "config error: interval endpoints must be finite" in capsys.readouterr().err
+
+
+def test_colliding_nodes_exit_code(tmp_path, capsys):
+    argv = ["solve", "--interval", "1e16", "1.0000000000000004e16", "--n", "8"]
+    code = run([*argv, "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("config error: the 9 nodes mapped to the interval (1e+16, 1.0000000000000004e+16)")
+    assert not (tmp_path / "x_solution.json").exists()
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "problem.ini"
     cfg.write_text(

@@ -44,6 +44,28 @@ def test_batch_consistency():
         np.testing.assert_allclose(table[j], sp_gegen(j, 0.75, x), rtol=1e-12, atol=1e-12)
 
 
+def allocating_batch(n, alpha, x):
+    """The three-term recurrence with one temporary per operation."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty((n + 1,) + x.shape)
+    out[0] = 1.0
+    if n >= 1:
+        out[1] = 2.0 * alpha * x
+    for j in range(2, n + 1):
+        out[j] = (2.0 * x * (j + alpha - 1.0) * out[j - 1] - (j + 2.0 * alpha - 2.0) * out[j - 2]) / j
+    return out
+
+
+@pytest.mark.parametrize("x", [0.37, np.linspace(-1.2, 1.2, 13), np.linspace(-1, 1, 12).reshape(3, 4)])
+@pytest.mark.parametrize("n", [0, 1, 2, 50])
+def test_batch_in_place_is_bitwise_the_allocating_recurrence(n, x):
+    for alpha in (0.6, 1.25):
+        got = eval_gegenbauer_batch(n, alpha, x)
+        want = allocating_batch(n, alpha, x)
+        assert got.shape == want.shape == (n + 1,) + np.shape(x)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_growth_on_interval():
     # sup |C_j^{(s+1/2)}| on [-1,1] grows like j^{2s}
     s = 0.35

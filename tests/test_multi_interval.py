@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fraclap.gegenbauer import evaluate_expansion, forward_transform
+from fraclap import multi_interval
+from fraclap.gegenbauer import eval_gegenbauer_batch, evaluate_expansion, forward_transform
 from fraclap.multi_interval import (
     Domain,
+    _ReferenceBlock,
     apply_offdiagonal,
     gmres,
     solve,
@@ -18,7 +20,7 @@ from fraclap.operator_core import solve_diagonal
 from fraclap.oracle import PVConfig, pv_exterior
 from fraclap.problem import ProblemSpec, resolve_rhs
 from fraclap.quadrature import gauss_jacobi, map_to_interval
-from fraclap.specfun import DomainError
+from fraclap.specfun import DomainError, spectrum
 
 
 def two_interval_domain(gap=0.3, length=1.0):
@@ -286,6 +288,80 @@ def test_coefficients_solve_residual_equation():
     for block, rule, ry in zip(sol.blocks, rules, RY):
         expect = solve_diagonal(forward_transform(spec.rhs(rule.nodes) - ry, rule, s))
         np.testing.assert_allclose(block.coeffs, expect.coeffs, rtol=0, atol=1e-12 * scale)
+
+
+class DenseBlock:
+    """K^-1 through the full (n+1)^2 table at every node: the reference
+    for the half-width table of _ReferenceBlock."""
+
+    def __init__(self, n, sv):
+        self.rule = gauss_jacobi(n, sv)
+        self.table = eval_gegenbauer_batch(n, sv + 0.5, self.rule.nodes)
+        self.lam, self.norms = spectrum(n, sv)
+
+    def coeffs(self, values):
+        return (values * self.rule.weights) @ self.table.T / self.norms / self.lam
+
+    def values(self, coeffs):
+        return (coeffs / self.norms) @ self.table
+
+
+class DenseDiscretization(multi_interval._Discretization):
+    """K^-1 one interval at a time through DenseBlock."""
+
+    def __init__(self, domain, s, ns):
+        super().__init__(domain, s, ns)
+        self.dense = [DenseBlock(n, self.sv) for n in ns]
+
+    def kinv_coeffs(self, Y):
+        return [ref.coeffs(v) for ref, v in zip(self.dense, self.split(Y))]
+
+    def kinv(self, Y):
+        return np.concatenate([ref.values(c) for ref, c in zip(self.dense, self.kinv_coeffs(Y))])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 255, 256])
+def test_half_table_matches_dense_table(n):
+    # odd and even point counts, the centre-node rules and the smallest ones;
+    # one interval's vector and a stack of three
+    s = 0.35
+    half, dense = _ReferenceBlock(n, s), DenseBlock(n, s)
+    assert half.table.shape == (n + 1, n // 2 + 1)
+    rng = np.random.default_rng(n)
+    for shape in ((n + 1,), (3, n + 1)):
+        v = rng.standard_normal(shape)
+        want = dense.coeffs(v)
+        np.testing.assert_allclose(half.coeffs(v), want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
+        c = rng.standard_normal(shape) * dense.lam
+        want = dense.values(c)
+        np.testing.assert_allclose(half.values(c), want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("ns", [(8, 5, 8), (5, 8, 5, 8)])
+def test_batched_kinv_with_non_adjacent_resolutions(monkeypatch, ns):
+    # intervals of one resolution are gathered into one stack even when
+    # another resolution sits between them
+    domain = Domain(((0.0, 1.0), (1.2, 2.0), (2.5, 4.0), (4.4, 5.0))[: len(ns)])
+    spec = make_spec(domain, 0.45, "runge", ns)
+    got = solve(spec)
+    monkeypatch.setattr(multi_interval, "_Discretization", DenseDiscretization)
+    want = solve(spec)
+    assert got.gmres_iterations == want.gmres_iterations > 0
+    scale = max(np.max(np.abs(block.coeffs)) for block in want.blocks)
+    for g, w in zip(got.blocks, want.blocks):
+        np.testing.assert_allclose(g.coeffs, w.coeffs, rtol=0, atol=1e-13 * scale)
+
+
+def test_single_interval_solve_memory():
+    # the full (N+1)^2 table at N = 2048 alone would be 33.6 MB
+    spec = make_spec(Domain(((-1.0, 1.0),)), 0.4, "runge", 2048)
+    tracemalloc.start()
+    try:
+        solve(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 # Invariances of the discrete solve that the mathematics guarantees,
