@@ -13,7 +13,6 @@ from .operator_core import (
     Polynomial,
     apply_diagonal,
     ln_polynomial,
-    n_alpha_series,
     solve_diagonal,
     ts_weighted_monomial_image,
 )

@@ -8,7 +8,8 @@ Subcommands:
 solve and convergence read an INI-style file (--config) and/or flags;
 flags win over the file, the file wins over defaults.  eigencheck reads
 only --s, --n and --out.  Exit codes:
-0 success, 1 solver/check failure, 2 configuration error.
+0 success, 1 solver/check failure, 2 configuration error (an --out
+prefix that cannot be written included; no directory is created).
 """
 
 from __future__ import annotations
@@ -335,6 +336,9 @@ def main(argv=None) -> int:
         return cmd_convergence(_spec(settings, max(n)), n, settings["ref_n"], args.out)
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # only the output files are opened here
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

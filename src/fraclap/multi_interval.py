@@ -64,15 +64,18 @@ class Domain:
 class MultiSolution:
     """Per-interval regular factors phi plus solver diagnostics."""
 
-    s: float
     blocks: tuple[GegenbauerCoeffs, ...]
     gmres_iterations: int
-    final_residual: float
     residual_history: np.ndarray
 
     def __post_init__(self):
         if not self.blocks:
             raise ValueError("solution needs at least one coefficient block")
+
+    @property
+    def final_residual(self) -> float:
+        """Relative residual of the last GMRES iteration (0 without GMRES)."""
+        return float(self.residual_history[-1])
 
 
 @dataclass(frozen=True)
@@ -126,18 +129,16 @@ def apply_offdiagonal(phi, rules, s):
     return _apply_coupling(_coupling_kernels(rules, sv), weighted, c1_constant(sv))
 
 
-def gmres(apply_A, rhs, tol: float = 1e-13, maxit: int | None = None) -> GMRESResult:
+def gmres(apply_A, rhs, tol: float = 1e-13) -> GMRESResult:
     """Matrix-free GMRES: full orthogonalization (no restart), modified
-    Gram-Schmidt, Givens-rotation least squares.  The history holds the
-    relative residual after each iteration (starting at 1); happy
-    breakdown counts as convergence.  The Hessenberg matrix grows by one
-    column per iteration, so storage follows the iterations taken, not
-    maxit.
+    Gram-Schmidt, Givens-rotation least squares, at most one iteration
+    per unknown.  The history holds the relative residual after each
+    iteration (starting at 1); happy breakdown counts as convergence.
+    The Hessenberg matrix grows by one column per iteration, so storage
+    follows the iterations taken, not the unknown count.
     """
     b = np.asarray(rhs, dtype=float)
     n = b.size
-    if maxit is None:
-        maxit = n
     normb = float(np.linalg.norm(b))
     if normb == 0.0:
         return GMRESResult(np.zeros(n), 0, np.array([0.0]), True)
@@ -148,7 +149,7 @@ def gmres(apply_A, rhs, tol: float = 1e-13, maxit: int | None = None) -> GMRESRe
     sn = []
     g = [normb]
     history = [1.0]
-    for k in range(maxit):
+    for k in range(n):
         w = np.asarray(apply_A(basis[k]), dtype=float)
         h = np.zeros(k + 2)
         for i in range(k + 1):
@@ -306,14 +307,9 @@ def solve(spec) -> MultiSolution:
 
     if len(spec.domain) == 1:
         blocks = disc.solution_blocks(disc.kinv_coeffs(F))
-        return MultiSolution(disc.sv, blocks, 0, 0.0, np.array([0.0]))
+        return MultiSolution(blocks, 0, np.array([0.0]))
 
-    result = gmres(
-        lambda Y: Y + disc.kinv(disc.offdiag(Y)),
-        disc.kinv(F),
-        tol=spec.gmres_tol,
-        maxit=int(disc.offsets[-1]),
-    )
+    result = gmres(lambda Y: Y + disc.kinv(disc.offdiag(Y)), disc.kinv(F), tol=spec.gmres_tol)
     if not result.converged:
         raise RuntimeError(
             "GMRES did not reach the requested tolerance; residual history: "
@@ -323,10 +319,4 @@ def solve(spec) -> MultiSolution:
     # which keeps the spectral (coefficient-space) representation exact
     # for the converged node values.
     blocks = disc.solution_blocks(disc.kinv_coeffs(F - disc.offdiag(result.x)))
-    return MultiSolution(
-        disc.sv,
-        blocks,
-        result.iterations,
-        float(result.history[-1]),
-        result.history,
-    )
+    return MultiSolution(blocks, result.iterations, result.history)

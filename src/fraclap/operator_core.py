@@ -139,29 +139,3 @@ def monomial_operator_matrix(m: int, s) -> np.ndarray:
         col = ts_weighted_monomial_image(n, s).coeffs
         mat[: col.size, n] = col
     return mat
-
-
-def n_alpha_series(n: int, s, x: float, tol: float = 1e-14) -> float:
-    """The analytic continuation N^s_{s+n}(x) = sum_k (2s)_k/(s-n+k) x^k / k!.
-
-    Truncates once a geometric tail majorant (ratio test; the terms
-    behave like k^{2s-1} x^k) falls below tol.  Requires |x| < 1.
-    """
-    sv = s_value(s)
-    if n < 0:
-        raise DomainError(f"index must be >= 0, got {n}")
-    if not abs(x) < 1.0:
-        raise DomainError(f"series requires |x| < 1, got x = {x}")
-    ax = abs(x)
-    total = 1.0 / (sv - n)
-    term = 1.0  # (2s)_k x^k / k!, currently k = 0
-    for k in range(1, 10**6):
-        term *= (2.0 * sv + k - 1.0) * x / k
-        total += term / (sv - n + k)
-        # tail majorant: |term| * ax / (1 - ax), with the 1/(s-n+k)
-        # factor bounded by its current value once k > n
-        if k > n + 1 and ax < 1.0:
-            tail = abs(term) * ax / (1.0 - ax) / abs(sv - n + k)
-            if tail < tol:
-                return total
-    raise RuntimeError(f"series for N^s at x = {x} did not converge within 1e6 terms")

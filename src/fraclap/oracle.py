@@ -23,6 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .gegenbauer import eval_gegenbauer
 from .operator_core import c1_constant
 from .specfun import DomainError, gegenbauer_norm_h, s_value
 
@@ -32,15 +33,14 @@ class PVConfig:
     """Excision schedule and panel layout for the PV quadrature.
 
     The excision radii are eps_m = eps0 * 2^-m for m = 0..levels-1,
-    with eps0 = eps0_frac * dist(x, boundary) unless eps0 is given
-    outright.  Each smooth piece is covered by `panels_per_side`
-    dyadically graded Gauss panels of the stated order; panels that end
-    on an interval endpoint switch to a Gauss-Jacobi rule absorbing the
-    algebraic endpoint singularity of the integrand.
+    with eps0 = eps0_frac * dist(x, boundary).  Each smooth piece is
+    covered by `panels_per_side` dyadically graded Gauss panels of the
+    stated order; panels that end on an interval endpoint switch to a
+    Gauss-Jacobi rule absorbing the algebraic endpoint singularity of
+    the integrand.
     """
 
     eps0_frac: float = 1e-2
-    eps0: float | None = None
     levels: int = 6
     panels_per_side: int = 12
     gauss_order: int = 16
@@ -147,11 +147,9 @@ def _extrapolate(values, sv):
     exponents = [2.0 * (i + 1) - 2.0 * sv for i in range(len(values) - 1)]
     table = _richardson(values, exponents)
     limit = table[-1][-1]
-    prev = table[-2][-1]
-    err_est = abs(limit - prev)
     if not math.isfinite(limit):
         raise RuntimeError(f"PV extrapolation diverged; level table: {table}")
-    return limit, err_est, table
+    return limit
 
 
 def pv_apply(uprime, x: float, s, interval, cfg: PVConfig = PVConfig()) -> float:
@@ -167,14 +165,13 @@ def pv_apply(uprime, x: float, s, interval, cfg: PVConfig = PVConfig()) -> float
     if not a < x < b:
         raise DomainError(f"x = {x} is not interior to ({a}, {b})")
     dist = min(x - a, b - x)
-    eps0 = cfg.eps0 if cfg.eps0 is not None else cfg.eps0_frac * dist
+    eps0 = cfg.eps0_frac * dist
     if not 0.0 < eps0 < dist:
         raise DomainError(f"excision radius {eps0} does not fit inside the interval at x = {x}")
     values = [
         _excised_integral(uprime, x, sv, a, b, eps0 * 2.0**-m, cfg) for m in range(cfg.levels)
     ]
-    limit, _, _ = _extrapolate(values, sv)
-    return c1_constant(sv) / (2.0 * sv) * limit
+    return c1_constant(sv) / (2.0 * sv) * _extrapolate(values, sv)
 
 
 def pv_exterior(u, x: float, s, interval, cfg: PVConfig = PVConfig()) -> float:
@@ -208,8 +205,6 @@ def weighted_mode(n: int, s, interval):
     These are the operator eigenfunctions; pv_apply on them should
     reproduce lambda_n^s C~_n(x).
     """
-    from .gegenbauer import eval_gegenbauer
-
     sv = s_value(s)
     a, b = interval
     half = 0.5 * (b - a)

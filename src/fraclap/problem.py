@@ -11,6 +11,7 @@ from typing import Callable
 
 import numpy as np
 
+from .gegenbauer import eval_gegenbauer
 from .multi_interval import Domain
 from .specfun import DomainError, gegenbauer_norm_h, s_value
 
@@ -80,8 +81,6 @@ def make_mode_rhs(k: int, s, domain: Domain) -> tuple[Callable, str]:
     of the reference variable on each interval (and extended by its
     polynomial values in between).
     """
-    from .gegenbauer import eval_gegenbauer
-
     sv = s_value(s)
     if k < 0:
         raise DomainError(f"mode index must be >= 0, got {k}")

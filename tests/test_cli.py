@@ -142,6 +142,41 @@ def test_colliding_nodes_exit_code(tmp_path, capsys):
     assert not (tmp_path / "x_solution.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--n", "4"],
+        ["convergence", "--n", "4,6,8", "--ref-n", "12"],
+        ["eigencheck", "--s", "0.5", "--n", "0"],
+    ],
+)
+def test_unwritable_out_exit_code(tmp_path, capsys, argv):
+    # the CLI creates no directories: a prefix in a missing one is a
+    # configuration error, not a traceback
+    out = tmp_path / "missing" / "run"
+    code = run([*argv, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output") and str(out) in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "missing").exists()
+
+
+def test_solver_failure_exit_code(tmp_path, capsys):
+    # a tolerance below rounding is never met: GMRES stops after one
+    # iteration per unknown (2 x 9 here) and the solve reports failure
+    out = tmp_path / "x"
+    argv = ["solve", "--interval", "0", "1", "--interval", "1.5", "2.5", "--n", "8", "--gmres-tol", "1e-30"]
+    code = run([*argv, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: GMRES did not reach the requested tolerance")
+    assert len(err.strip().splitlines()) == 1
+    history = json.loads(err.split("residual history: ")[1])
+    assert len(history) == 1 + 18
+    assert not (tmp_path / "x_solution.json").exists()
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "problem.ini"
     cfg.write_text(

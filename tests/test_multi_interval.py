@@ -137,7 +137,7 @@ def test_gmres_happy_breakdown():
 
 
 def test_gmres_storage_follows_iterations():
-    # maxit defaults to the unknown count; storage must not scale with it
+    # iterations are capped at the unknown count; storage must not scale with it
     b = np.random.default_rng(3).standard_normal(200_000)
     tracemalloc.start()
     try:

@@ -16,13 +16,12 @@ from fraclap.operator_core import (
     image_prefactor,
     ln_polynomial,
     monomial_operator_matrix,
-    n_alpha_series,
     solve_diagonal,
     ts_weighted_monomial_image,
 )
 from fraclap.oracle import pv_exterior
 from fraclap.quadrature import gauss_jacobi, map_to_interval
-from fraclap.specfun import DomainError, eigenvalue_lambda
+from fraclap.specfun import eigenvalue_lambda
 
 # high-precision references (40-digit quadrature of the singular integrals)
 L3_S03_SAMPLES = {
@@ -32,7 +31,6 @@ L3_S03_SAMPLES = {
     0.7: -4.365518259470095063,
     0.9: -5.2881718250723413662,
 }
-N_S025_X05 = 4.2601236147593756468  # N^s_s(1/2) at s = 1/4
 
 
 def test_polynomial_trimming():
@@ -150,35 +148,6 @@ def test_eigen_consistency_matrix_conjugation():
     resid = mat @ T - T * lam[None, :]
     scale = np.max(np.abs(T)) * np.max(lam)
     assert np.max(np.abs(resid)) <= 1e-9 * scale
-
-
-def test_n_alpha_series():
-    for s in (0.2, 0.6):
-        for n in (0, 2, 5):
-            assert n_alpha_series(n, s, 0.0) == pytest.approx(1.0 / (s - n), rel=1e-14)
-    assert n_alpha_series(0, 0.25, 0.5) == pytest.approx(N_S025_X05, abs=1e-8)
-    with pytest.raises(DomainError):
-        n_alpha_series(1, 0.3, 1.0)
-
-
-def test_series_image_relation():
-    # (s+n)(1-2s)C_s N^s_{s+n}(x) equals the weighted-monomial image
-    # with the (1-y)^s factor removed -- checked through the L-series:
-    # the one-boundary image of y^{s+n} equals the x-derivative path,
-    # so compare against a high-precision integral at x = 0.3
-    import mpmath as mp
-
-    s, n, x = 0.25, 1, 0.3
-    val = (s + n) * image_prefactor(s) * n_alpha_series(n, s, x)
-    mp.mp.dps = 30
-    sm, xm = mp.mpf("0.25"), mp.mpf("0.3")
-    c1 = 2 ** (2 * sm) * sm * mp.gamma(sm + mp.mpf(1) / 2) / (mp.sqrt(mp.pi) * mp.gamma(1 - sm))
-    integral = mp.quad(
-        lambda y: mp.sign(xm - y) * abs(xm - y) ** (-2 * sm) * (sm + n) * y ** (sm + n - 1),
-        [0, xm, 1],
-    )
-    ref = float(c1 / (2 * sm) * integral)
-    assert val == pytest.approx(ref, abs=1e-7)
 
 
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])

@@ -1,14 +1,11 @@
-"""The experiment scripts still run against the package: a name they use
+"""The experiment script still runs against the package: a name it uses
 that goes missing fails here rather than at experiment time.
 """
 
-import importlib.util
 import os
 import pathlib
 import subprocess
 import sys
-
-import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -29,11 +26,3 @@ def test_run_two_interval(tmp_path):
     lines = csv.read_text().splitlines()
     assert lines[0] == "N,rel_err_L2s,gmres_iterations"
     assert len(lines) == 7
-
-
-@pytest.mark.parametrize("name", ["run_convergence", "run_eigencheck"])
-def test_script_imports(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    assert callable(module.run)

@@ -1,0 +1,48 @@
+"""Every public name of the package has a caller beyond its own tests.
+
+A top-level def or class in src/fraclap/*.py whose name starts without
+an underscore must be referenced, as a whole word and outside its own
+definition, by the package itself (re-exports in __init__.py do not
+count), by the benchmark (perfbench/*.py), by an experiment script
+(scripts/*.py) or by the acceptance criteria (tests/test_acceptance.py).
+A name only its unit tests use is a liability: delete it or give it a
+caller.
+"""
+
+import ast
+import pathlib
+import re
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "fraclap"
+
+
+def public_definitions(path):
+    """(name, first line, last line) of each public top-level def/class;
+    the line span includes decorators and is 1-based, inclusive."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            out.append((node.name, first, node.end_lineno))
+    return out
+
+
+def test_every_public_name_has_a_caller():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    callers = sorted(ROOT.glob("perfbench/*.py")) + sorted(ROOT.glob("scripts/*.py"))
+    callers.append(ROOT / "tests" / "test_acceptance.py")
+    texts = {p: p.read_text().splitlines() for p in modules + callers}
+
+    unused = []
+    for module in modules:
+        for name, first, last in public_definitions(module):
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            outside = [
+                lines[: first - 1] + lines[last:] if path == module else lines
+                for path, lines in texts.items()
+            ]
+            if not any(word.search(line) for lines in outside for line in lines):
+                unused.append(f"{module.stem}.{name}")
+    assert unused == [], f"public names without a caller outside their own tests: {unused}"
