@@ -1,6 +1,11 @@
 """Gegenbauer spectral solver for the Dirichlet problem of the 1D
 fractional Laplacian on finite unions of disjoint intervals.
+
+The package logs to the "fraclap" logger, which is silent unless the
+caller configures it (for example logging.basicConfig(level=logging.DEBUG)).
 """
+
+import logging
 
 from .gegenbauer import (
     GegenbauerCoeffs,
@@ -32,3 +37,5 @@ from .specfun import (
 )
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())

@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import errno
+import functools
 import json
+import os
 import re
 import sys
 import time
@@ -54,11 +57,13 @@ def _fmt(v: float) -> str:
     return _CSV_FLOAT % v
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per subcommand, each with only the flags it reads.
 
     The dest of each problem flag is its config-file key, so flags
-    override file values by name.
+    override file values by name.  Built once per process: parsing
+    leaves the parser unchanged, so every main() call shares it.
     """
     parser = argparse.ArgumentParser(prog="fraclap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -176,6 +181,14 @@ def _spec(settings: dict, n) -> ProblemSpec:
     )
 
 
+def _check_out(out_prefix: str, first_output: str) -> None:
+    """Fail before any work when the --out prefix's directory does not
+    exist (the CLI creates none), with the error that opening its first
+    output file would raise."""
+    if not os.path.isdir(os.path.dirname(out_prefix) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out_prefix + first_output)
+
+
 def _solution_json(spec: ProblemSpec, sol) -> dict:
     return {
         "s": spec.s,
@@ -190,6 +203,7 @@ def _solution_json(spec: ProblemSpec, sol) -> dict:
 
 
 def cmd_solve(spec: ProblemSpec, out_prefix: str) -> int:
+    _check_out(out_prefix, "_solution.json")
     t0 = time.perf_counter()
     sol = multi_interval.solve(spec)
     elapsed = time.perf_counter() - t0
@@ -220,6 +234,7 @@ def cmd_convergence(spec: ProblemSpec, n_list, ref_n, out_prefix: str) -> int:
         ref_n = max(2 * n_list[-1], n_list[-1] + 16)
     elif ref_n <= n_list[-1]:
         raise ConfigError(f"reference resolution must exceed the largest N = {n_list[-1]}, got {ref_n}")
+    _check_out(out_prefix, "_convergence.csv")
     ref = multi_interval.solve(replace(spec, n=ref_n))
     ref_scale = max(
         np.sqrt(sum(sobolev_metrics.hrs_norm(b, 0.0) ** 2 for b in ref.blocks)), 1e-300
@@ -278,6 +293,7 @@ def cmd_convergence(spec: ProblemSpec, n_list, ref_n, out_prefix: str) -> int:
 
 
 def cmd_eigencheck(s_list, nmax: int, out_prefix: str) -> int:
+    _check_out(out_prefix, "_eigencheck.txt")
     points = (-0.62, 0.11, 0.54)
     interval = (-1.0, 1.0)
     cfg = PVConfig()

@@ -9,10 +9,17 @@ distinct intervals).  The discrete system is the second-kind equation
     (I + K^-1 R) Y = K^-1 F
 
 over the concatenated node values Y of phi.  Once (domain, s, N) is
-fixed the discrete operator is a constant: it is assembled once per
-solve (one Gegenbauer table per distinct resolution, one kernel block
-per pair of intervals) and GMRES only applies it; iteration counts stay
-bounded as the resolution grows.
+fixed the discrete operator is a constant, and GMRES only applies it;
+iteration counts stay bounded as the resolution grows.  What depends on
+the domain is built per solve: the rules mapped onto the intervals and
+one kernel block per pair of intervals.  What depends on (N, s) alone,
+the reference block of K^-1 (Gauss-Jacobi rule, Gegenbauer table,
+spectrum), is the same for every interval and every domain, so the
+process keeps the blocks of keys that recur and shares them, read-only,
+between solves and threads.  A block is kept only from the second
+request for its key on: a sweep over fresh orders or resolutions never
+asks twice, and holding its large tables would only grow the heap.  The
+kept blocks are evicted least-recently-used beyond a fixed byte budget.
 
 The Gauss-Jacobi nodes are symmetric about 0 and C_j(-x) = (-1)^j C_j(x),
 so each table holds only the nonnegative half of its nodes: the even
@@ -23,7 +30,10 @@ once, as two GEMMs with the table's even and odd rows each way.
 
 from __future__ import annotations
 
+import logging
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +42,8 @@ from .gegenbauer import GegenbauerCoeffs, eval_gegenbauer_batch
 from .operator_core import c1_constant
 from .quadrature import gauss_jacobi, map_to_interval
 from .specfun import DomainError, s_value, spectrum
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -210,6 +222,10 @@ class _ReferenceBlock:
         self.centre = (n + 1) % 2  # 1 when 0 is a node
         self.table = eval_gegenbauer_batch(n, sv + 0.5, self.rule.nodes[self.lower:])
         self.lam, self.norms = spectrum(n, sv)
+        for a in (self.table, self.lam, self.norms):  # shared between solves, as the rule is
+            a.setflags(write=False)
+        arrays = (self.table, self.lam, self.norms, self.rule.nodes, self.rule.weights)
+        self.nbytes = sum(a.nbytes for a in arrays)
 
     def coeffs(self, values):
         """Coefficients phi_j = f_j / lambda_j of K^-1 f, from the node values of f."""
@@ -233,15 +249,73 @@ class _ReferenceBlock:
         return np.concatenate((below, even + odd), axis=-1)
 
 
+# Bytes of reference blocks the process keeps, and how many (n, s) keys
+# it remembers to tell a recurring key from a new one.
+_MEMO_BYTES = 32 * 2**20
+_MEMO_KEYS = 256
+
+
+class _BlockMemo:
+    """Reference blocks by (n, s), kept once their key recurs.
+
+    The first request for a key builds a block and remembers only the
+    key; a later request builds it again and keeps it (unless it alone
+    exceeds _MEMO_BYTES), and requests after that share it.  Kept blocks
+    are evicted least-recently-used to stay within _MEMO_BYTES, and the
+    remembered keys are the _MEMO_KEYS most recent.  Blocks are built
+    outside the lock, so two threads may build the same one; the first
+    to finish is kept.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._blocks = OrderedDict()  # key -> block, least recently used first
+        self._seen = OrderedDict()  # keys requested, least recently first
+        self._bytes = 0
+
+    def get(self, n: int, sv: float) -> _ReferenceBlock:
+        key = (n, sv)
+        with self._lock:
+            block = self._blocks.get(key)
+            if block is not None:
+                self._blocks.move_to_end(key)
+                return block
+            recurs = self._seen.pop(key, False)
+            self._seen[key] = True
+            if len(self._seen) > _MEMO_KEYS:
+                self._seen.popitem(last=False)
+        block = _ReferenceBlock(n, sv)
+        _log.debug("reference block n=%d s=%r built: %d bytes", n, sv, block.nbytes)
+        if not recurs or block.nbytes > _MEMO_BYTES:
+            return block
+        evicted = []
+        with self._lock:
+            kept = self._blocks.setdefault(key, block)
+            if kept is block:
+                self._bytes += block.nbytes
+                while self._bytes > _MEMO_BYTES:
+                    old_key, old = self._blocks.popitem(last=False)
+                    self._bytes -= old.nbytes
+                    evicted.append((old_key, old.nbytes))
+        if kept is block:
+            _log.debug("reference block n=%d s=%r retained: %d bytes", n, sv, block.nbytes)
+        for (old_n, old_sv), size in evicted:
+            _log.debug("reference block n=%d s=%r evicted: %d bytes", old_n, old_sv, size)
+        return kept
+
+
+_MEMO = _BlockMemo()
+
+
 class _Discretization:
     """The discrete operator of one solve, assembled once.
 
-    Intervals of equal resolution share a _ReferenceBlock, and K^-1 is
-    applied to all of them at once: their node values are gathered into
-    one stack, so each distinct resolution costs two GEMMs each way
-    however many intervals use it.  The coupling holds one kernel block
-    per pair of intervals j < l and applies its transpose for the pair's
-    other direction.
+    Intervals of equal resolution share a _ReferenceBlock, taken from
+    _MEMO, and K^-1 is applied to all of them at once: their node values
+    are gathered into one stack, so each distinct resolution costs two
+    GEMMs each way however many intervals use it.  The coupling holds
+    one kernel block per pair of intervals j < l and applies its
+    transpose for the pair's other direction.
     """
 
     def __init__(self, domain: Domain, s, ns):
@@ -250,7 +324,7 @@ class _Discretization:
         members = {}
         for j, n in enumerate(ns):
             members.setdefault(n, []).append(j)
-        refs = {n: _ReferenceBlock(n, self.sv) for n in members}
+        refs = {n: _MEMO.get(n, self.sv) for n in members}
         self.rules = [
             map_to_interval(refs[n].rule, a, b) for n, (a, b) in zip(ns, domain.intervals)
         ]

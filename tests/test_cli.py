@@ -150,9 +150,14 @@ def test_colliding_nodes_exit_code(tmp_path, capsys):
         ["eigencheck", "--s", "0.5", "--n", "0"],
     ],
 )
-def test_unwritable_out_exit_code(tmp_path, capsys, argv):
+def test_unwritable_out_exit_code(tmp_path, capsys, monkeypatch, argv):
     # the CLI creates no directories: a prefix in a missing one is a
-    # configuration error, not a traceback
+    # configuration error, not a traceback, reported before any work
+    def unreachable(*args, **kwargs):
+        raise AssertionError("computed before checking --out")
+
+    monkeypatch.setattr(fraclap.multi_interval, "solve", unreachable)
+    monkeypatch.setattr(fraclap.cli, "pv_apply", unreachable)
     out = tmp_path / "missing" / "run"
     code = run([*argv, "--out", str(out)])
     assert code == 2
@@ -175,6 +180,28 @@ def test_solver_failure_exit_code(tmp_path, capsys):
     history = json.loads(err.split("residual history: ")[1])
     assert len(history) == 1 + 18
     assert not (tmp_path / "x_solution.json").exists()
+
+
+def test_consecutive_calls_parse_independently(monkeypatch):
+    # main() reuses one parser: no flag of one call leaks into the next
+    seen = []
+    monkeypatch.setattr(fraclap.cli, "cmd_solve", lambda spec, out: seen.append((spec, out)) or 0)
+    monkeypatch.setattr(
+        fraclap.cli, "cmd_convergence", lambda spec, ns, ref_n, out: seen.append((spec, ns, ref_n, out)) or 0
+    )
+    monkeypatch.setattr(fraclap.cli, "cmd_eigencheck", lambda s_list, n, out: seen.append((s_list, n, out)) or 0)
+    two = ["--interval", "-2", "-1", "--interval", "1", "2"]
+    assert run(["solve", "--s", "0.3", *two, "--n", "6,8", "--out", "a"]) == 0
+    assert run(["eigencheck", "--s", "0.2", "--s", "0.7", "--n", "3"]) == 0
+    assert run(["convergence", "--n", "4,6,8", "--ref-n", "12", "--out", "c"]) == 0
+    assert run(["eigencheck"]) == 0
+    assert run(["solve"]) == 0
+    first, eig, conv, eig_default, plain = seen
+    assert (first[0].s, first[0].domain.intervals, first[0].n, first[1]) == (0.3, ((-2.0, -1.0), (1.0, 2.0)), (6, 8), "a")
+    assert eig == ([0.2, 0.7], 3, "fraclap")
+    assert (conv[0].s, conv[0].domain.intervals, conv[1:]) == (0.5, ((-1.0, 1.0),), ((4, 6, 8), 12, "c"))
+    assert eig_default == ([0.1, 0.25, 0.5, 0.75, 0.9], 4, "fraclap")
+    assert (plain[0].s, plain[0].domain.intervals, plain[0].n, plain[1]) == (0.5, ((-1.0, 1.0),), (16,), "fraclap")
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -388,10 +415,14 @@ def test_negative_endpoints_in_exponent_notation(tmp_path):
 def test_solve_and_convergence_load_no_scipy(tmp_path):
     # SciPy is a test and eigencheck dependency only; a fresh interpreter
     # that imports the package and runs both solver subcommands must not
-    # load any scipy module
+    # load any scipy module.  Nor may they write to stderr: the "fraclap"
+    # logger carries only a NullHandler, so its debug records (the second
+    # request for (8, 0.5) keeps that reference block) reach no stream
+    # unless the caller configures logging.
     script = """
-import sys
+import logging, sys
 import fraclap, fraclap.cli
+assert any(isinstance(h, logging.NullHandler) for h in logging.getLogger("fraclap").handlers)
 assert fraclap.cli.main(["solve", "--interval", "-1", "-0.1", "--interval", "0.1", "1", "--n", "8"]) == 0
 assert fraclap.cli.main(["convergence", "--n", "8,16,32", "--ref-n", "64"]) == 0
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
@@ -403,3 +434,4 @@ assert not loaded, loaded
         [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

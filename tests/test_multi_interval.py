@@ -1,5 +1,9 @@
 import collections
+import logging
+import os
 import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -246,9 +250,18 @@ EIGHT_INTERVALS = Domain(tuple((1.3 * k, 1.3 * k + 1.0 + 0.1 * (k % 3)) for k in
 EIGHT_NS = (12, 20, 12, 12, 20, 12, 12, 12)
 
 
-def test_operator_assembled_once_per_solve(monkeypatch):
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """A fresh process-wide memo of reference blocks for one test."""
+    memo = multi_interval._BlockMemo()
+    monkeypatch.setattr(multi_interval, "_MEMO", memo)
+    return memo
+
+
+def test_operator_assembled_once_per_solve(monkeypatch, empty_memo):
     # one rule and one spectrum per distinct resolution, no scalar
-    # eigenvalue or norm lookups
+    # eigenvalue or norm lookups; from the third solve of the same
+    # problem on, the reference blocks are shared and nothing is rebuilt
     calls = collections.Counter()
 
     def counting(name, fn):
@@ -265,12 +278,150 @@ def test_operator_assembled_once_per_solve(monkeypatch):
         for name in names:
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
-    sol = solve(make_spec(EIGHT_INTERVALS, 0.4, "polynomial:1,0.1", EIGHT_NS))
+    spec = make_spec(EIGHT_INTERVALS, 0.4, "polynomial:1,0.1", EIGHT_NS)
+    sol = solve(spec)
     assert sol.gmres_iterations > 0
     once = {n: 1 for n in set(EIGHT_NS)}
     assert {n: c for (name, n), c in calls.items() if name == "gauss_jacobi"} == once
     assert {n: c for (name, n), c in calls.items() if name == "spectrum"} == once
     assert not any(name in ("eigenvalue_lambda", "gegenbauer_norm_h") for name, _ in calls)
+    solve(spec)
+    calls.clear()
+    solve(spec)
+    assert not calls
+
+
+def test_solve_through_kept_block_is_bitwise_equal(empty_memo):
+    spec = make_spec(EIGHT_INTERVALS, 0.55, "runge", EIGHT_NS)
+    fresh = solve(spec)  # first request: blocks built, not kept
+    assert not empty_memo._blocks
+    solve(spec)  # second request: built again and kept
+    assert set(empty_memo._blocks) == {(n, 0.55) for n in EIGHT_NS}
+    kept = solve(spec)
+    assert kept.gmres_iterations == fresh.gmres_iterations
+    np.testing.assert_array_equal(kept.residual_history, fresh.residual_history)
+    for k, f in zip(kept.blocks, fresh.blocks):
+        assert np.array_equal(k.coeffs, f.coeffs)
+
+
+def test_memo_keeps_a_block_once_its_key_recurs(empty_memo):
+    first = empty_memo.get(10, 0.3)
+    assert not empty_memo._blocks  # requested once: only the key is remembered
+    empty_memo.get(12, 0.3)
+    empty_memo.get(10, 0.35)
+    second = empty_memo.get(10, 0.3)
+    assert second is not first
+    assert list(empty_memo._blocks) == [(10, 0.3)]
+    assert empty_memo.get(10, 0.3) is second
+    assert empty_memo._bytes == second.nbytes
+
+
+def test_memo_remembers_a_bounded_number_of_keys(empty_memo, monkeypatch):
+    monkeypatch.setattr(multi_interval, "_MEMO_KEYS", 3)
+    for s in (0.1, 0.2, 0.3, 0.1, 0.4):
+        empty_memo.get(4, s)
+    assert list(empty_memo._seen) == [(4, 0.3), (4, 0.1), (4, 0.4)]
+    assert list(empty_memo._blocks) == [(4, 0.1)]
+    empty_memo.get(4, 0.2)  # forgotten: a first request again
+    assert list(empty_memo._blocks) == [(4, 0.1)]
+
+
+def test_memo_evicts_least_recently_used_within_budget(empty_memo, monkeypatch):
+    size = _ReferenceBlock(16, 0.3).nbytes  # the same for every s
+    monkeypatch.setattr(multi_interval, "_MEMO_BYTES", 2 * size + size // 2)
+
+    def request_twice(n, s):
+        empty_memo.get(n, s)
+        return empty_memo.get(n, s)
+
+    a = request_twice(16, 0.3)
+    request_twice(16, 0.4)
+    assert empty_memo.get(16, 0.3) is a  # 0.3 is now the most recently used
+    request_twice(16, 0.5)
+    assert list(empty_memo._blocks) == [(16, 0.3), (16, 0.5)]
+    assert empty_memo._bytes == 2 * size
+    # a block larger than the whole budget is never kept
+    assert _ReferenceBlock(64, 0.3).nbytes > multi_interval._MEMO_BYTES
+    for _ in range(3):
+        empty_memo.get(64, 0.3)
+    assert list(empty_memo._blocks) == [(16, 0.3), (16, 0.5)]
+    assert empty_memo._bytes == 2 * size
+
+
+def test_shared_block_arrays_are_read_only(empty_memo):
+    empty_memo.get(9, 0.45)
+    block = empty_memo.get(9, 0.45)
+    for array in (block.table, block.lam, block.norms, block.rule.nodes, block.rule.weights):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+
+def test_memo_logs_builds_kept_and_evicted_blocks(empty_memo, monkeypatch, caplog):
+    size = _ReferenceBlock(6, 0.3).nbytes
+    monkeypatch.setattr(multi_interval, "_MEMO_BYTES", size)
+    with caplog.at_level(logging.DEBUG, logger="fraclap"):
+        for s in (0.3, 0.3, 0.4, 0.4):
+            empty_memo.get(6, s)
+    records = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+    line = "reference block n=6 s={} {}: %d bytes" % size
+    assert records == [
+        ("fraclap.multi_interval", logging.DEBUG, line.format(0.3, "built")),
+        ("fraclap.multi_interval", logging.DEBUG, line.format(0.3, "built")),
+        ("fraclap.multi_interval", logging.DEBUG, line.format(0.3, "retained")),
+        ("fraclap.multi_interval", logging.DEBUG, line.format(0.4, "built")),
+        ("fraclap.multi_interval", logging.DEBUG, line.format(0.4, "built")),
+        ("fraclap.multi_interval", logging.DEBUG, line.format(0.4, "retained")),
+        ("fraclap.multi_interval", logging.DEBUG, line.format(0.3, "evicted")),
+    ]
+
+
+def test_concurrent_solves_share_blocks_bitwise(empty_memo, monkeypatch):
+    # more threads than cores, a budget of a few blocks so that blocks are
+    # kept, shared and evicted while other threads solve through them
+    specs = [
+        make_spec(EIGHT_INTERVALS, s, rhs, ns)
+        for s, rhs, ns in (
+            (0.4, "runge", EIGHT_NS),
+            (0.6, "polynomial:1,0.1", EIGHT_NS),
+            (0.4, "constant:1", (20,) * 8),
+            (0.25, "runge", (12, 16) * 4),
+        )
+    ]
+    want = [[block.coeffs for block in solve(spec).blocks] for spec in specs]
+    monkeypatch.setattr(multi_interval, "_MEMO_BYTES", 3 * _ReferenceBlock(20, 0.4).nbytes)
+    errors = []
+    done = collections.Counter()
+    deadline = time.monotonic() + 2.0
+
+    def worker(k):
+        try:
+            i = k
+            while time.monotonic() < deadline:
+                spec = specs[i % len(specs)]
+                got = [block.coeffs for block in solve(spec).blocks]
+                if not all(np.array_equal(g, w) for g, w in zip(got, want[i % len(specs)])):
+                    errors.append(f"thread {k}: solve {i} differs")
+                    return
+                done[k] += 1
+                i += 1
+        except Exception as exc:  # reported in the main thread
+            errors.append(f"thread {k}: {exc!r}")
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range((os.cpu_count() or 1) + 2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(done) == len(threads)
+    kept = sum(block.nbytes for block in empty_memo._blocks.values())
+    assert empty_memo._bytes == kept <= multi_interval._MEMO_BYTES
 
 
 def test_coefficients_solve_residual_equation():
