@@ -58,18 +58,24 @@ def eval_gegenbauer_batch(n: int, alpha: float, x) -> np.ndarray:
         raise DomainError(f"Gegenbauer parameter must exceed -1/2, got {alpha}")
     x = np.asarray(x, dtype=float)
     out = np.empty((n + 1,) + x.shape)
-    out[0] = 1.0
+    # rows of a 2-d view, so that iterating yields row views even when x is 0-d
+    rows = out.reshape(n + 1, -1)
+    rows[0] = 1.0
+    prev2 = prev = rows[0]
     if n >= 1:
-        out[1] = 2.0 * alpha * x
-    x2 = 2.0 * x
-    tmp = np.empty(x.shape)
-    for j in range(2, n + 1):  # row views: out[j, ...] stays an array when x is 0-d
-        row = out[j, ...]
-        np.multiply(x2, j + alpha - 1.0, out=row)
-        row *= out[j - 1, ...]
-        np.multiply(j + 2.0 * alpha - 2.0, out[j - 2, ...], out=tmp)
+        prev = rows[1]
+        np.multiply(2.0 * alpha, x.reshape(-1), out=prev)
+    x2 = 2.0 * x.reshape(-1)
+    tmp = np.empty(x2.shape)
+    grow = [(j + alpha) - 1.0 for j in range(2, n + 1)]
+    damp = [(j + 2.0 * alpha) - 2.0 for j in range(2, n + 1)]
+    for j, row, gj, dj in zip(range(2, n + 1), rows[2:], grow, damp):
+        np.multiply(x2, gj, out=row)
+        row *= prev
+        np.multiply(dj, prev2, out=tmp)
         row -= tmp
         row /= j
+        prev2, prev = prev, row
     return out
 
 

@@ -13,8 +13,8 @@ fixed the discrete operator is a constant, and GMRES only applies it;
 iteration counts stay bounded as the resolution grows.  What depends on
 the domain is built per solve: the rules mapped onto the intervals and
 one kernel block per pair of intervals.  What depends on (N, s) alone,
-the reference block of K^-1 (Gauss-Jacobi rule, Gegenbauer table,
-spectrum), is the same for every interval and every domain, so the
+the reference block of K^-1 (Gauss-Jacobi rule, the Gegenbauer table
+that the rule's last Newton pass writes, spectrum), is the same for every interval and every domain, so the
 process keeps the blocks of keys that recur and shares them, read-only,
 between solves and threads.  A block is kept only from the second
 request for its key on: a sweep over fresh orders or resolutions never
@@ -33,12 +33,13 @@ from __future__ import annotations
 import logging
 import math
 import threading
+import time
 from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gegenbauer import GegenbauerCoeffs, eval_gegenbauer_batch
+from .gegenbauer import GegenbauerCoeffs
 from .operator_core import c1_constant
 from .quadrature import gauss_jacobi, map_to_interval
 from .specfun import DomainError, s_value, spectrum
@@ -203,12 +204,16 @@ class _ReferenceBlock:
     """K^-1 for every interval of resolution n, in the reference frame.
 
     Holds the Gauss-Jacobi rule, the half-width table
-    T[j, i] = C_j^{(s+1/2)}(x_i) on the rule's ceil((n+1)/2) nonnegative
-    nodes, the norms h_j and the eigenvalues lambda_j.  K^-1 is
-    interval-independent in this frame (affine scale invariance), so
-    all intervals of resolution n share one block.
+    T[j, i] = P_j(x_i) / P_j(1) of the Jacobi polynomials of exponents
+    (s, s) on the rule's ceil((n+1)/2) nonnegative nodes, filled by the
+    rule's own last Newton pass, and the eigenvalues lambda_j.  The
+    Gegenbauer polynomial is C_j^{(s+1/2)} = C_j(1) P_j / P_j(1) with
+    C_j(1) = lambda_j / Gamma(2s+1), so that scale is folded into the
+    norms: norms[j] = h_j Gamma(2s+1), and C~_j = lambda_j T[j] / norms[j].
+    K^-1 is interval-independent in this frame (affine scale
+    invariance), so all intervals of resolution n share one block.
 
-    The rule is exactly symmetric and C_j(-x) = (-1)^j C_j(x), so the
+    The rule is exactly symmetric and P_j(-x) = (-1)^j P_j(x), so the
     even rows of T act on the sum of each node's value and its mirror
     image's, and the odd rows on their difference; the centre node of
     an odd-sized rule is counted once.  coeffs and values work on the
@@ -217,11 +222,12 @@ class _ReferenceBlock:
     """
 
     def __init__(self, n: int, sv: float):
-        self.rule = gauss_jacobi(n, sv)
+        self.table = np.empty((n + 1, n // 2 + 1))
+        self.rule = gauss_jacobi(n, sv, rows=self.table)
         self.lower = (n + 1) // 2  # nodes below 0; rule.nodes[lower:] are the rest
         self.centre = (n + 1) % 2  # 1 when 0 is a node
-        self.table = eval_gegenbauer_batch(n, sv + 0.5, self.rule.nodes[self.lower:])
-        self.lam, self.norms = spectrum(n, sv)
+        self.lam, h = spectrum(n, sv)
+        self.norms = h * math.gamma(2.0 * sv + 1.0)
         for a in (self.table, self.lam, self.norms):  # shared between solves, as the rule is
             a.setflags(write=False)
         arrays = (self.table, self.lam, self.norms, self.rule.nodes, self.rule.weights)
@@ -238,11 +244,11 @@ class _ReferenceBlock:
         out = np.empty(weighted.shape)
         out[..., 0::2] = plus @ self.table[0::2].T
         out[..., 1::2] = minus @ self.table[1::2].T
-        return out / self.norms / self.lam
+        return out / self.norms  # lambda_j of C_j(1) cancels the 1 / lambda_j of K^-1
 
     def values(self, coeffs):
         """Node values of sum_j c_j C~_j."""
-        scaled = coeffs / self.norms
+        scaled = coeffs * (self.lam / self.norms)
         even = scaled[..., 0::2] @ self.table[0::2]
         odd = scaled[..., 1::2] @ self.table[1::2]
         below = (even - odd)[..., self.centre:][..., ::-1]
@@ -284,8 +290,10 @@ class _BlockMemo:
             self._seen[key] = True
             if len(self._seen) > _MEMO_KEYS:
                 self._seen.popitem(last=False)
+        start = time.perf_counter()
         block = _ReferenceBlock(n, sv)
-        _log.debug("reference block n=%d s=%r built: %d bytes", n, sv, block.nbytes)
+        ms = (time.perf_counter() - start) * 1e3
+        _log.debug("reference block n=%d s=%r built in %.2f ms: %d bytes", n, sv, ms, block.nbytes)
         if not recurs or block.nbytes > _MEMO_BYTES:
             return block
         evicted = []

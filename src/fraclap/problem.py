@@ -80,19 +80,23 @@ def make_mode_rhs(k: int, s, domain: Domain) -> tuple[Callable, str]:
     """f equal to the k-th normalized Gegenbauer polynomial C~_k^{(s+1/2)}
     of the reference variable on each interval (and extended by its
     polynomial values in between).
+
+    Each point takes the frame of the interval that contains it; a point
+    between intervals takes that of the interval whose closure is
+    nearest.
     """
     sv = s_value(s)
     if k < 0:
         raise DomainError(f"mode index must be >= 0, got {k}")
     h = gegenbauer_norm_h(k, sv)
+    lo, hi = np.array(domain.intervals).T
 
     def f(x):
         x = np.asarray(x, dtype=float)
         out = np.empty_like(x)
-        # map each point through the reference frame of its interval;
-        # points between intervals use the nearest interval's frame
-        mids = np.array([0.5 * (a + b) for a, b in domain.intervals])
-        idx = np.argmin(np.abs(x[..., None] - mids), axis=-1)
+        # max(a - x, x - b) is the distance from x to [a, b] outside it and
+        # negative inside, so its least value picks the containing interval
+        idx = np.argmin(np.maximum(lo - x[..., None], x[..., None] - hi), axis=-1)
         for i, (a, b) in enumerate(domain.intervals):
             sel = idx == i
             xt = 2.0 * (x[sel] - a) / (b - a) - 1.0

@@ -12,9 +12,19 @@ mirror image gives the rest, exactly symmetric.
 - Newton: P_{n+1} and P_n, each divided by its value at 1, come from one
   pass of the three-term recurrence written in increments of (x - 1),
   vectorized over the nodes.  With m = n+1 the identity
-  (1-x^2) P'_m = m (P_{m-1} - x P_m) (normalized values) gives the
-  step.  The passes stop once the step is at roundoff; a rule that does
-  not get there within a few passes raises instead of being returned.
+  (1-x^2) P'_m = m (P_{m-1} - x P_m) (normalized values) gives P'_m,
+  and the Jacobi equation the next three derivatives; the step is the
+  root of the fourth-order Taylor polynomial (the plain Newton step
+  where that step is large).  From the guesses the second pass's step
+  is at roundoff for alpha in (0, 1), so a rule takes two passes, and
+  one for alpha = +-1/2.  The passes stop once the step is at
+  roundoff; a rule that does not get there within a few passes raises
+  instead of being returned.
+- Nodes: the points of the last pass, within 2 eps of the roots.  Given
+  a table rows, each pass also writes P_k / P_k(1), k = 0..n, at its
+  points, so after the last pass the table holds them at the nodes: a
+  Gegenbauer table C_k^{(alpha+1/2)} = C_k(1) P_k / P_k(1) at no extra
+  cost, and more accurate near +-1 than the plain three-term recurrence.
 - Weights: w_i ~ (1-x_i^2) / (P_{m-1} - x_i P_m)^2 at the roots, scaled
   to the total weight mass (a Beta-function identity).  The last pass's
   values and step give them at the exact root rather than at its
@@ -27,6 +37,7 @@ tests verify.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -86,17 +97,20 @@ def total_mass(alpha: float) -> float:
 # Largest exponent gauss_jacobi accepts: its node sweep test covers (-1, 10].
 _MAX_ALPHA = 10.0
 
-# Newton passes allowed; alpha in (0, 1) needs 3 or 4, alpha = 10 up to 9.
+# Newton passes allowed; alpha in (0, 1) needs 2, alpha = 10 up to 7.
 _NEWTON_PASSES = 12
 
 
-def _jacobi_pair(m: int, alpha: float, x: np.ndarray):
+def _jacobi_pair(m: int, alpha: float, x: np.ndarray, rows=None):
     """P_m and P_{m-1} of exponents (alpha, alpha) at x, each divided by
     its value at 1.
 
     The recurrence carries the increments d_k = P_k - P_{k-1}, which
     hold a factor (x - 1) and so keep their accuracy near the endpoint;
-    the plain three-term recurrence loses digits there.
+    the plain three-term recurrence loses digits there.  Given rows, of
+    shape (m, x.size), it also writes P_k / P_k(1) at x into rows[k] for
+    k < m; each degree's sum lands there directly, so the table costs no
+    extra ufunc call.
     """
     k = np.arange(1.0, m)
     t = 2.0 * k + 2.0 * alpha
@@ -105,29 +119,72 @@ def _jacobi_pair(m: int, alpha: float, x: np.ndarray):
     b = (2.0 * k * (k + alpha) * (t + 2.0) / den).tolist()
     xm1 = x - 1.0
     d = xm1.copy()
-    p = x.copy()  # P_1 / P_1(1) = x
+    if rows is None:
+        p = x.copy()  # P_1 / P_1(1) = x
+        out = itertools.repeat(p)
+    else:
+        rows[0] = 1.0
+        p = rows[1]
+        p[...] = x
+        # iterated lazily: a list of m row views would cost memory at large m
+        out = itertools.chain(rows[2:], [np.empty_like(x)])
     tmp = np.empty_like(x)
-    for ak, bk in zip(a, b):  # in place: five ufunc calls per degree
+    for ak, bk, row in zip(a, b, out):  # in place: five ufunc calls per degree
         np.multiply(xm1, p, out=tmp)
         tmp *= ak
         d *= bk
         d += tmp
-        p += d
+        np.add(p, d, out=row)
+        p = row
     return p, p - d
 
 
-def gauss_jacobi(n: int, alpha: float) -> QuadratureRule:
+def _newton_step(m: int, alpha: float, x, p, g, one_minus_x2):
+    """The step from x to the root of P_m through its first four derivatives.
+
+    With q = 1-x^2 and D_k = q^k P_m^(k), D_0 = P_m and D_1 = m g, and
+    the Jacobi equation differentiated k times gives
+
+        D_{k+2} = (2 alpha + 2k + 2) x D_{k+1} - (M - k (k + 2 alpha + 1)) q D_k,
+
+    M = m (m + 2 alpha + 1).  In t = step / q the root of the Taylor
+    polynomial D_0 - t D_1 + t^2 D_2 / 2 - t^3 D_3 / 6 + t^4 D_4 / 24 is
+    found by Newton from the plain Newton step t0 = D_0 / D_1; each
+    iteration squares the relative error, about t0 D_2 / D_1.  Where t0
+    exceeds 1e-2 the polynomial is not trusted and t0 is taken.
+    """
+    big_m = m * (m + 2.0 * alpha + 1.0)
+    t0 = p / (m * g)
+    # a_k = D_k / D_1
+    a2 = (2.0 * alpha + 2.0) * x - big_m * one_minus_x2 * t0
+    a3 = (2.0 * alpha + 4.0) * x * a2 - (big_m - (2.0 * alpha + 2.0)) * one_minus_x2
+    a4 = (2.0 * alpha + 6.0) * x * a3 - (big_m - (4.0 * alpha + 6.0)) * one_minus_x2 * a2
+    t = t0
+    for _ in range(3):
+        poly = t * (1.0 - t * (a2 / 2.0 - t * (a3 / 6.0 - t * a4 / 24.0))) - t0
+        t = t - poly / (1.0 - t * (a2 - t * (a3 / 2.0 - t * a4 / 6.0)))
+    return np.where(np.abs(t0) <= 1e-2, t, t0) * one_minus_x2
+
+
+def gauss_jacobi(n: int, alpha: float, rows=None) -> QuadratureRule:
     """(n+1)-point Gauss-Jacobi rule for (1-x^2)^alpha, exact to degree 2n+1.
 
-    alpha must lie in (-1, 10].
+    alpha must lie in (-1, 10].  Given rows, a float array of shape
+    (n+1, n//2+1), it also fills rows[k] with P_k / P_k(1), the Jacobi
+    polynomial of exponents (alpha, alpha), at the rule's nonnegative
+    nodes in increasing order; the rule itself does not depend on rows.
     """
     if n < 0:
         raise DomainError(f"rule index must be >= 0, got {n}")
     if not -1.0 < alpha <= _MAX_ALPHA:
         raise DomainError(f"Gauss-Jacobi exponent must lie in (-1, {_MAX_ALPHA:g}], got {alpha}")
+    if rows is not None and (rows.shape != (n + 1, n // 2 + 1) or rows.dtype != np.float64):
+        raise ValueError(f"rows must be a float64 array of shape {(n + 1, n // 2 + 1)}")
 
     mass = total_mass(alpha)
     if n == 0:
+        if rows is not None:
+            rows[0] = 1.0
         return QuadratureRule(alpha, np.array([0.0]), np.array([mass]))
 
     m = n + 1
@@ -140,12 +197,12 @@ def gauss_jacobi(n: int, alpha: float) -> QuadratureRule:
         x[0] = 0.0
 
     for _ in range(_NEWTON_PASSES):
-        p, prev = _jacobi_pair(m, alpha, x)
+        p, prev = _jacobi_pair(m, alpha, x, rows)
         # (1-x^2) P'_m = m (P_{m-1} - x P_m); 1-x^2 as (1-x)(1+x) keeps
         # its digits near the endpoint
         g = prev - x * p
         one_minus_x2 = (1.0 - x) * (1.0 + x)
-        step = p * one_minus_x2 / (m * g)
+        step = _newton_step(m, alpha, x, p, g, one_minus_x2)
         if odd:
             step[0] = 0.0
         if np.max(np.abs(step)) <= 2.0 * np.finfo(float).eps:
@@ -156,16 +213,17 @@ def gauss_jacobi(n: int, alpha: float) -> QuadratureRule:
             f"Gauss-Jacobi Newton iteration did not converge for n={n}, alpha={alpha}"
         )
 
-    # Weights (1-r^2) / g(r)^2 at the root r = x - step, which this last
-    # pass knows better than any double can hold it: 1 - r is formed from
-    # the exact 1 - x, and g(r)^2 = g(x)^2 (1 - 4 alpha x step / (1-x^2))
-    # to first order (the Jacobi equation gives g'/g = 2 alpha x / (1-x^2)
-    # at a root).  This keeps the endpoint weights to full relative
-    # accuracy, where one rounding of x would cost eps / (1 - x).
+    # The nodes are this last pass's points, where rows was filled; they
+    # are within 2 eps of the root r = x - step.  The weights
+    # (1-r^2) / g(r)^2 are taken at r itself, which this pass knows
+    # better than any double can hold it: 1 - r is formed from the exact
+    # 1 - x, and g(r)^2 = g(x)^2 (1 - 4 alpha x step / (1-x^2)) to first
+    # order (the Jacobi equation gives g'/g = 2 alpha x / (1-x^2) at a
+    # root).  This keeps the endpoint weights to full relative accuracy,
+    # where one rounding of x would cost eps / (1 - x).
     u = ((1.0 - x) + step) * ((1.0 + x) - step) / (g * g)
     u *= 1.0 + 4.0 * alpha * x * step / one_minus_x2
     u *= mass / (u.sum() + u[mirror].sum())
-    x = x - step
     nodes = np.concatenate((-x[mirror][::-1], x))
     weights = np.concatenate((u[mirror][::-1], u))
     return QuadratureRule(alpha, nodes, weights)

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import fraclap
+from fraclap import Domain, ProblemSpec, resolve_rhs, solve
 from fraclap.cli import main
-from fraclap.gegenbauer import GegenbauerCoeffs, evaluate_expansion
-from fraclap.specfun import eigenvalue_lambda
+from fraclap.gegenbauer import GegenbauerCoeffs, eval_gegenbauer, evaluate_expansion
+from fraclap.specfun import eigenvalue_lambda, gegenbauer_norm_h
 
 
 def run(args):
@@ -79,6 +80,35 @@ def test_solve_gegenbauer_mode_rhs(tmp_path):
     want = np.zeros(9)
     want[3] = 1.0 / eigenvalue_lambda(3, 0.3)
     np.testing.assert_allclose(block["phi_coeffs"], want, rtol=0, atol=1e-13)
+
+
+def test_mode_rhs_takes_each_point_in_its_own_interval(tmp_path):
+    # (0, 10) is long beside (10.5, 11): its nodes above 7.875 lie nearer
+    # the other interval's midpoint, yet take their own interval's frame
+    intervals = ((0.0, 10.0), (10.5, 11.0))
+    s, k = 0.4, 2
+    h = gegenbauer_norm_h(k, s)
+
+    def mode(x):
+        x = np.asarray(x, dtype=float)
+        (a0, b0), (a1, b1) = intervals
+        a, b = np.where(x < 10.25, a0, a1), np.where(x < 10.25, b0, b1)
+        return eval_gegenbauer(k, s + 0.5, 2.0 * (x - a) / (b - a) - 1.0) / h
+
+    f, _ = resolve_rhs(f"gegenbauer-mode:{k}", s, Domain(intervals))
+    assert f(9.0) == pytest.approx(1.1397, abs=1e-4)
+    x = np.array([-1.0, 3.0, 9.0, 9.99, 10.1, 10.3, 10.7, 12.0])
+    np.testing.assert_allclose(f(x), mode(x), rtol=1e-15, atol=0)
+
+    out = str(tmp_path / "mode")
+    argv = ["solve", "--s", str(s), "--interval", "0", "10", "--interval", "10.5", "11"]
+    code = run([*argv, "--rhs", f"gegenbauer-mode:{k}", "--n", "12", "--out", out])
+    assert code == 0
+    doc = json.loads((tmp_path / "mode_solution.json").read_text())
+    want = solve(ProblemSpec(s, Domain(intervals), mode, n=12))
+    scale = max(np.max(np.abs(block.coeffs)) for block in want.blocks)
+    for got, block in zip(doc["intervals"], want.blocks):
+        np.testing.assert_allclose(got["phi_coeffs"], block.coeffs, rtol=0, atol=1e-13 * scale)
 
 
 def test_overlapping_intervals_exit_code(tmp_path, capsys):

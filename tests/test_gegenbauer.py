@@ -56,6 +56,25 @@ def allocating_batch(n, alpha, x):
     return out
 
 
+def indexing_batch(n, alpha, x):
+    """The in-place recurrence indexing each row as out[j, ...]."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty((n + 1,) + x.shape)
+    out[0] = 1.0
+    if n >= 1:
+        out[1] = 2.0 * alpha * x
+    x2 = 2.0 * x
+    tmp = np.empty(x.shape)
+    for j in range(2, n + 1):
+        row = out[j, ...]
+        np.multiply(x2, j + alpha - 1.0, out=row)
+        row *= out[j - 1, ...]
+        np.multiply(j + 2.0 * alpha - 2.0, out[j - 2, ...], out=tmp)
+        row -= tmp
+        row /= j
+    return out
+
+
 @pytest.mark.parametrize("x", [0.37, np.linspace(-1.2, 1.2, 13), np.linspace(-1, 1, 12).reshape(3, 4)])
 @pytest.mark.parametrize("n", [0, 1, 2, 50])
 def test_batch_in_place_is_bitwise_the_allocating_recurrence(n, x):
@@ -64,6 +83,7 @@ def test_batch_in_place_is_bitwise_the_allocating_recurrence(n, x):
         want = allocating_batch(n, alpha, x)
         assert got.shape == want.shape == (n + 1,) + np.shape(x)
         assert got.tobytes() == want.tobytes()
+        assert np.array_equal(got, indexing_batch(n, alpha, x))
 
 
 def test_growth_on_interval():

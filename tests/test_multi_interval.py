@@ -1,12 +1,15 @@
 import collections
 import logging
 import os
+import re
 import sys
 import threading
 import time
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -362,7 +365,8 @@ def test_memo_logs_builds_kept_and_evicted_blocks(empty_memo, monkeypatch, caplo
     with caplog.at_level(logging.DEBUG, logger="fraclap"):
         for s in (0.3, 0.3, 0.4, 0.4):
             empty_memo.get(6, s)
-    records = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+    # the build time is checked by test_memo_logs_build_time
+    records = [(r.name, r.levelno, re.sub(r" in \S+ ms", "", r.getMessage())) for r in caplog.records]
     line = "reference block n=6 s={} {}: %d bytes" % size
     assert records == [
         ("fraclap.multi_interval", logging.DEBUG, line.format(0.3, "built")),
@@ -373,6 +377,20 @@ def test_memo_logs_builds_kept_and_evicted_blocks(empty_memo, monkeypatch, caplo
         ("fraclap.multi_interval", logging.DEBUG, line.format(0.4, "retained")),
         ("fraclap.multi_interval", logging.DEBUG, line.format(0.3, "evicted")),
     ]
+
+
+def test_memo_logs_build_time(empty_memo, monkeypatch, caplog):
+    class SlowBlock(_ReferenceBlock):
+        def __init__(self, n, sv):
+            time.sleep(0.05)
+            super().__init__(n, sv)
+
+    monkeypatch.setattr(multi_interval, "_ReferenceBlock", SlowBlock)
+    with caplog.at_level(logging.DEBUG, logger="fraclap"):
+        empty_memo.get(6, 0.3)
+    [record] = caplog.records
+    built = re.fullmatch(r"reference block n=6 s=0.3 built in (\S+) ms: \d+ bytes", record.getMessage())
+    assert built and 50.0 <= float(built.group(1)) < 60e3
 
 
 def test_concurrent_solves_share_blocks_bitwise(empty_memo, monkeypatch):
@@ -441,13 +459,39 @@ def test_coefficients_solve_residual_equation():
         np.testing.assert_allclose(block.coeffs, expect.coeffs, rtol=0, atol=1e-12 * scale)
 
 
+FIX = 112  # fixed-point scale 2^-112 of exact_gegenbauer_table
+
+
+def exact_gegenbauer_table(n, lam, x):
+    """C_j^{(lam)}(x_i) for j = 0..n, rounded once to doubles.
+
+    The three-term recurrence runs in fixed point on Python integers from
+    the exact values of lam and x; the digits it loses near +-1 lie far
+    below those of a double.
+    """
+    one = 1 << FIX
+
+    def fixed(v):
+        return round(Fraction(v) * one)
+
+    lam = Fraction(lam)
+    xf = np.array([fixed(v) for v in x], dtype=object)
+    rows = [np.full(xf.shape, one, dtype=object), (fixed(2 * lam) * xf) >> FIX]
+    for j in range(2, n + 1):
+        u, v = fixed(2 * (j + lam - 1) / j), fixed((j + 2 * lam - 2) / j)
+        rows.append((((u * xf) >> FIX) * rows[-1] - v * rows[-2]) >> FIX)
+    return np.array([[c / one for c in row] for row in rows[: n + 1]])
+
+
 class DenseBlock:
     """K^-1 through the full (n+1)^2 table at every node: the reference
-    for the half-width table of _ReferenceBlock."""
+    for the half-width table of _ReferenceBlock.  The table is exact to
+    a double's rounding, as the three-term recurrence in doubles is not
+    near the endpoints."""
 
     def __init__(self, n, sv):
         self.rule = gauss_jacobi(n, sv)
-        self.table = eval_gegenbauer_batch(n, sv + 0.5, self.rule.nodes)
+        self.table = exact_gegenbauer_table(n, sv + 0.5, self.rule.nodes)
         self.lam, self.norms = spectrum(n, sv)
 
     def coeffs(self, values):
@@ -486,6 +530,44 @@ def test_half_table_matches_dense_table(n):
         c = rng.standard_normal(shape) * dense.lam
         want = dense.values(c)
         np.testing.assert_allclose(half.values(c), want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
+
+
+def test_block_rows_match_mpmath_at_outermost_nodes():
+    # the rule's increment recurrence keeps its digits near +-1, where
+    # the three-term recurrence in doubles loses about 1e-9 at n = 1024
+    n, s = 1024, 0.35
+    block = _ReferenceBlock(n, s)
+    got = block.table[:, -2:]
+    want = np.empty(got.shape)
+    with mpmath.workdps(40):
+        lam = mpmath.mpf(s) + mpmath.mpf(0.5)
+        for i, xi in enumerate(block.rule.nodes[-2:]):
+            x = mpmath.mpf(float(xi))
+            prev, c = mpmath.mpf(1), 2 * lam * x  # C_0, C_1
+            at_one = 2 * lam  # C_1(1)
+            want[0, i], want[1, i] = 1.0, float(c / at_one)
+            for j in range(2, n + 1):
+                prev, c = c, (2 * x * (j + lam - 1) * c - (j + 2 * lam - 2) * prev) / j
+                at_one *= (j + 2 * lam - 1) / j
+                want[j, i] = float(c / at_one)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-11
+
+
+def test_block_builds_no_gegenbauer_table(monkeypatch):
+    # the table comes from the rule's last recurrence pass
+    calls = []
+    batch = eval_gegenbauer_batch
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return batch(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("fraclap") and getattr(mod, "eval_gegenbauer_batch", None) is batch:
+            monkeypatch.setattr(mod, "eval_gegenbauer_batch", counting)
+    for n in (0, 7, 64):
+        _ReferenceBlock(n, 0.3)
+    assert calls == []
 
 
 @pytest.mark.parametrize("ns", [(8, 5, 8), (5, 8, 5, 8)])

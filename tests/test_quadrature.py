@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import beta as sp_beta
+from scipy.special import eval_jacobi
 
+from fraclap import quadrature
 from fraclap.quadrature import (
     QuadratureRule,
     gauss_jacobi,
@@ -162,6 +164,42 @@ def test_rule_builds_no_square_array():
     assert peak < 8e6
 
 
+@pytest.mark.parametrize("n", [8, 1024, 2048])
+def test_rule_takes_two_recurrence_passes(monkeypatch, n):
+    # the fourth-order first step leaves the second pass's step at
+    # roundoff; the asymptotic guesses are exact for alpha = 1/2
+    passes = []
+    pair = quadrature._jacobi_pair
+
+    def counting(*args, **kwargs):
+        passes.append(args[1])
+        return pair(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_jacobi_pair", counting)
+    for alpha in (0.01, 0.25, 0.75, 0.99):
+        gauss_jacobi(n, alpha)
+        assert 1 <= passes.count(alpha) <= 2, alpha
+    gauss_jacobi(n, 0.5)
+    assert passes.count(0.5) == 1
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 40])
+def test_rows_hold_normalized_jacobi_at_nonnegative_nodes(n):
+    alpha = 0.3
+    rows = np.full((n + 1, n // 2 + 1), np.nan)
+    r = gauss_jacobi(n, alpha, rows=rows)
+    plain = gauss_jacobi(n, alpha)
+    assert r.nodes.tobytes() == plain.nodes.tobytes()
+    assert r.weights.tobytes() == plain.weights.tobytes()
+    x = r.nodes[(n + 1) // 2:]
+    k = np.arange(n + 1)[:, None]
+    want = eval_jacobi(k, alpha, alpha, x) / eval_jacobi(k, alpha, alpha, 1.0)
+    np.testing.assert_allclose(rows, want, rtol=0, atol=1e-14)
+    for wrong in (np.empty((n + 1, n // 2 + 2)), np.empty((n + 1, n // 2 + 1), dtype=np.float32)):
+        with pytest.raises(ValueError):
+            gauss_jacobi(n, alpha, rows=wrong)
+
+
 # Reference rules at about 34 digits.  The three-term recurrence runs in
 # fixed point on Python integers (scale 2^-112), vectorized over the
 # nodes; in mpmath numbers the n = 1024 cases alone take over a minute.
@@ -208,8 +246,11 @@ def reference_rule(n, alpha, x0):
     return x, w
 
 
-@pytest.mark.parametrize("n", [32, 255, 1024])
-@pytest.mark.parametrize("alpha", [0.25, 0.4, 0.75])
+@pytest.mark.parametrize(
+    "alpha, n",
+    # and the reference resolution of the convergence study
+    [(alpha, n) for n in (32, 255, 1024) for alpha in (0.25, 0.4, 0.75)] + [(0.4, 2048)],
+)
 def test_rule_matches_extended_precision_reference(n, alpha):
     r = gauss_jacobi(n, alpha)
     half = slice((n + 1) // 2, None)  # x >= 0; the rule is mirror-symmetric
