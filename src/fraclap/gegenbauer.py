@@ -1,5 +1,11 @@
-"""Gegenbauer polynomial evaluation and the discrete transform pair in
+"""Gegenbauer polynomials C_j^{(alpha)} and the discrete transform pair in
 the normalized basis C~_j = C_j^{(s+1/2)} / h_j.
+
+Values come from quadrature.jacobi_ratios at |x|, the recurrence being
+accurate near +1 only: C_j(x) = C_j(1) P_j(|x|) / P_j(1), negated for
+odd j at x < 0, with C_j(1) = (2 alpha)_j / j!.  The transforms fold
+C_j(1) / h_j and the sign into their coefficient or weight vector and
+act with the table's even and odd rows, so no pass rescales the table.
 
 Coefficient vectors are always stored against the reference variable
 on [-1,1]; the attached interval only enters through the affine
@@ -12,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import QuadratureRule
+from .quadrature import QuadratureRule, jacobi_ratios
 from .specfun import DomainError, s_value, spectrum
 
 
@@ -44,44 +50,35 @@ class GegenbauerCoeffs:
         return self.coeffs.size
 
 
-def eval_gegenbauer_batch(n: int, alpha: float, x) -> np.ndarray:
-    """All C_j^{(alpha)}(x) for j = 0..n in one recurrence pass.
-
-    Returns an array of shape (n+1,) + shape(x).  The three-term
-    recurrence is global in x, so arguments outside [-1,1] are fine.
-    Each row is filled in place, in the operation order of
-    C_j = (2x (j+alpha-1) C_{j-1} - (j+2alpha-2) C_{j-2}) / j.
-    """
+def _at_one(n: int, alpha: float) -> np.ndarray:
+    """C_j^{(alpha)}(1) = (2 alpha)_j / j! for j = 0..n, once n and alpha are checked."""
     if n < 0:
         raise DomainError(f"degree must be >= 0, got {n}")
-    if alpha <= -0.5:
+    if not alpha > -0.5:  # fails on NaN
         raise DomainError(f"Gegenbauer parameter must exceed -1/2, got {alpha}")
+    j = np.arange(1.0, n + 1.0)
+    return np.cumprod(np.concatenate(([1.0], ((j - 1.0) + 2.0 * alpha) / j)))
+
+
+def eval_gegenbauer_batch(n: int, alpha: float, x) -> np.ndarray:
+    """All C_j^{(alpha)}(x), j = 0..n, of shape (n+1,) + shape(x); any real x."""
+    at_one = _at_one(n, alpha)
     x = np.asarray(x, dtype=float)
-    out = np.empty((n + 1,) + x.shape)
-    # rows of a 2-d view, so that iterating yields row views even when x is 0-d
-    rows = out.reshape(n + 1, -1)
-    rows[0] = 1.0
-    prev2 = prev = rows[0]
-    if n >= 1:
-        prev = rows[1]
-        np.multiply(2.0 * alpha, x.reshape(-1), out=prev)
-    x2 = 2.0 * x.reshape(-1)
-    tmp = np.empty(x2.shape)
-    grow = [(j + alpha) - 1.0 for j in range(2, n + 1)]
-    damp = [(j + 2.0 * alpha) - 2.0 for j in range(2, n + 1)]
-    for j, row, gj, dj in zip(range(2, n + 1), rows[2:], grow, damp):
-        np.multiply(x2, gj, out=row)
-        row *= prev
-        np.multiply(dj, prev2, out=tmp)
-        row -= tmp
-        row /= j
-        prev2, prev = prev, row
-    return out
+    flat = x.reshape(-1)
+    rows = np.empty((n + 1, flat.size))
+    jacobi_ratios(n, alpha - 0.5, np.abs(flat), rows)
+    rows[1::2, flat < 0] *= -1.0
+    rows *= at_one[:, None]
+    return rows.reshape((n + 1,) + x.shape)
 
 
 def eval_gegenbauer(n: int, alpha: float, x):
-    """C_n^{(alpha)}(x) by the three-term recurrence, O(n) per point."""
-    return eval_gegenbauer_batch(n, alpha, x)[n]
+    """C_n^{(alpha)}(x), in O(n) work and O(size(x)) memory."""
+    at_one = _at_one(n, alpha)[n]
+    x = np.asarray(x, dtype=float)
+    p, _ = jacobi_ratios(n, alpha - 0.5, np.abs(x).reshape(-1))
+    p *= np.where(x.reshape(-1) < 0, (-1.0) ** n * at_one, at_one)
+    return p.reshape(x.shape)[()]
 
 
 def norm_vector(n: int, s) -> np.ndarray:
@@ -117,8 +114,13 @@ def forward_transform(values, rule: QuadratureRule, s) -> GegenbauerCoeffs:
         raise ValueError(f"rule weight exponent {rule.alpha} does not match s = {sv}")
     ref_x, ref_w = _reference_rule_view(rule)
     n = len(rule) - 1
-    table = eval_gegenbauer_batch(n, sv + 0.5, ref_x)
-    coeffs = table @ (values * ref_w) / norm_vector(n, sv)
+    rows = np.empty((n + 1, n + 1))
+    jacobi_ratios(n, sv, np.abs(ref_x), rows)
+    weighted = values * ref_w
+    coeffs = np.empty(n + 1)
+    coeffs[0::2] = rows[0::2] @ weighted
+    coeffs[1::2] = rows[1::2] @ np.where(ref_x < 0, -weighted, weighted)
+    coeffs *= _at_one(n, sv + 0.5) / norm_vector(n, sv)
     a, b = rule.interval
     return GegenbauerCoeffs(sv, (float(a), float(b)), coeffs)
 
@@ -128,6 +130,11 @@ def evaluate_expansion(c: GegenbauerCoeffs, x):
     a, b = c.interval
     xt = 2.0 * (np.asarray(x, dtype=float) - a) / (b - a) - 1.0
     n = len(c) - 1
-    table = eval_gegenbauer_batch(n, c.s + 0.5, xt)
-    result = (c.coeffs / norm_vector(n, c.s)) @ table.reshape(n + 1, -1)
+    flat = xt.reshape(-1)
+    rows = np.empty((n + 1, flat.size))
+    jacobi_ratios(n, c.s, np.abs(flat), rows)
+    scaled = c.coeffs * _at_one(n, c.s + 0.5) / norm_vector(n, c.s)
+    even = scaled[0::2] @ rows[0::2]
+    odd = scaled[1::2] @ rows[1::2]
+    result = np.where(flat < 0, even - odd, even + odd)
     return result.reshape(xt.shape) if xt.shape else float(result[0])

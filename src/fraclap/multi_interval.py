@@ -14,12 +14,13 @@ iteration counts stay bounded as the resolution grows.  What depends on
 the domain is built per solve: the rules mapped onto the intervals and
 one kernel block per pair of intervals.  What depends on (N, s) alone,
 the reference block of K^-1 (Gauss-Jacobi rule, the Gegenbauer table
-that the rule's last Newton pass writes, spectrum), is the same for every interval and every domain, so the
-process keeps the blocks of keys that recur and shares them, read-only,
-between solves and threads.  A block is kept only from the second
-request for its key on: a sweep over fresh orders or resolutions never
-asks twice, and holding its large tables would only grow the heap.  The
-kept blocks are evicted least-recently-used beyond a fixed byte budget.
+that the rule's last Newton pass writes, spectrum), is the same for
+every interval and every domain, so the process keeps the blocks of
+keys that recur and shares them, read-only, between solves and threads.
+A block is kept only from the second request for its key on: a sweep
+over fresh orders or resolutions never asks twice, and holding its
+large tables would only grow the heap.  The kept blocks are evicted
+least-recently-used beyond a fixed byte budget.
 
 The Gauss-Jacobi nodes are symmetric about 0 and C_j(-x) = (-1)^j C_j(x),
 so each table holds only the nonnegative half of its nodes: the even

@@ -11,8 +11,10 @@ dyadically graded composite Gauss panels, and the limit eps -> 0 is
 taken by Richardson extrapolation (the excision error expands in powers
 eps^{2-2s}, eps^{4-2s}, ...; one-sided excision diverges for s >= 1/2).
 
-Deliberately slow and entirely independent of the spectral machinery;
-used only by tests and the eigencheck command.
+Deliberately slow; used only by tests and the eigencheck command.  The
+quadrature is independent of the spectral machinery, but weighted_mode,
+the eigenfunctions it is checked on, builds its modes with
+gegenbauer.eval_gegenbauer, the solver's own recurrence.
 """
 
 from __future__ import annotations

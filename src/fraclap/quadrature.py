@@ -1,5 +1,7 @@
 """Gauss-Jacobi rules for the symmetric weight (1-x^2)^alpha on [-1,1],
-with affine mapping to arbitrary intervals.
+with affine mapping to arbitrary intervals, and jacobi_ratios, the
+recurrence they run on and the package's one evaluation of Jacobi and
+so of Gegenbauer polynomials (gegenbauer.py builds its values from it).
 
 The rules are built in NumPy alone, in O(n) work per Newton pass, after
 Hale & Townsend (SISC 2013).  Only the nonnegative half is computed; the
@@ -10,8 +12,7 @@ mirror image gives the rest, exactly symmetric.
   rho = n + alpha + 3/2 and phi_k = (k + alpha/2 - 1/4) pi / rho; exact
   for alpha = +-1/2.
 - Newton: P_{n+1} and P_n, each divided by its value at 1, come from one
-  pass of the three-term recurrence written in increments of (x - 1),
-  vectorized over the nodes.  With m = n+1 the identity
+  pass of jacobi_ratios over the nodes.  With m = n+1 the identity
   (1-x^2) P'_m = m (P_{m-1} - x P_m) (normalized values) gives P'_m,
   and the Jacobi equation the next three derivatives; the step is the
   root of the fourth-order Taylor polynomial (the plain Newton step
@@ -22,9 +23,8 @@ mirror image gives the rest, exactly symmetric.
   instead of being returned.
 - Nodes: the points of the last pass, within 2 eps of the roots.  Given
   a table rows, each pass also writes P_k / P_k(1), k = 0..n, at its
-  points, so after the last pass the table holds them at the nodes: a
-  Gegenbauer table C_k^{(alpha+1/2)} = C_k(1) P_k / P_k(1) at no extra
-  cost, and more accurate near +-1 than the plain three-term recurrence.
+  points, so after the last pass the table holds them at the nodes: the
+  solver's Gegenbauer table at no extra cost.
 - Weights: w_i ~ (1-x_i^2) / (P_{m-1} - x_i P_m)^2 at the roots, scaled
   to the total weight mass (a Beta-function identity).  The last pass's
   values and step give them at the exact root rather than at its
@@ -101,33 +101,33 @@ _MAX_ALPHA = 10.0
 _NEWTON_PASSES = 12
 
 
-def _jacobi_pair(m: int, alpha: float, x: np.ndarray, rows=None):
+def jacobi_ratios(m: int, alpha: float, x: np.ndarray, rows=None):
     """P_m and P_{m-1} of exponents (alpha, alpha) at x, each divided by
-    its value at 1.
+    its value at 1 (P_{-1} = 0); without rows it keeps no table.
 
     The recurrence carries the increments d_k = P_k - P_{k-1}, which
-    hold a factor (x - 1) and so keep their accuracy near the endpoint;
-    the plain three-term recurrence loses digits there.  Given rows, of
-    shape (m, x.size), it also writes P_k / P_k(1) at x into rows[k] for
-    k < m; each degree's sum lands there directly, so the table costs no
-    extra ufunc call.
+    hold a factor (x - 1) and so keep their accuracy near x = 1, where
+    the plain three-term recurrence loses digits; near x = -1 they
+    cancel, so callers take |x| and the parity of P_k.  Given rows, of
+    shape (r, x.size) with r <= m + 1, it also writes P_k / P_k(1) at x
+    into rows[k] for k < r; each degree's sum lands there directly, so
+    the table costs no extra ufunc call.
     """
     k = np.arange(1.0, m)
     t = 2.0 * k + 2.0 * alpha
     den = 2.0 * (k + alpha + 1.0) * (k + 2.0 * alpha + 1.0) * t
     a = (t * (t + 1.0) * (t + 2.0) / den).tolist()
     b = (2.0 * k * (k + alpha) * (t + 2.0) / den).tolist()
+    # each degree's row: those of rows, then one scratch row for the rest
+    out = itertools.chain(() if rows is None else rows, itertools.repeat(np.empty_like(x)))
+    p = next(out)
+    p[...] = 1.0
+    if m == 0:
+        return p, np.zeros_like(x)
+    p = next(out)
+    p[...] = x  # P_1 / P_1(1) = x
     xm1 = x - 1.0
     d = xm1.copy()
-    if rows is None:
-        p = x.copy()  # P_1 / P_1(1) = x
-        out = itertools.repeat(p)
-    else:
-        rows[0] = 1.0
-        p = rows[1]
-        p[...] = x
-        # iterated lazily: a list of m row views would cost memory at large m
-        out = itertools.chain(rows[2:], [np.empty_like(x)])
     tmp = np.empty_like(x)
     for ak, bk, row in zip(a, b, out):  # in place: five ufunc calls per degree
         np.multiply(xm1, p, out=tmp)
@@ -182,11 +182,6 @@ def gauss_jacobi(n: int, alpha: float, rows=None) -> QuadratureRule:
         raise ValueError(f"rows must be a float64 array of shape {(n + 1, n // 2 + 1)}")
 
     mass = total_mass(alpha)
-    if n == 0:
-        if rows is not None:
-            rows[0] = 1.0
-        return QuadratureRule(alpha, np.array([0.0]), np.array([mass]))
-
     m = n + 1
     odd = m % 2 == 1  # odd point count: the centre node is 0
     mirror = slice(1 if odd else 0, None)  # the half's nodes other than 0
@@ -197,7 +192,7 @@ def gauss_jacobi(n: int, alpha: float, rows=None) -> QuadratureRule:
         x[0] = 0.0
 
     for _ in range(_NEWTON_PASSES):
-        p, prev = _jacobi_pair(m, alpha, x, rows)
+        p, prev = jacobi_ratios(m, alpha, x, rows)
         # (1-x^2) P'_m = m (P_{m-1} - x P_m); 1-x^2 as (1-x)(1+x) keeps
         # its digits near the endpoint
         g = prev - x * p

@@ -1,3 +1,6 @@
+import tracemalloc
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +15,7 @@ from fraclap.gegenbauer import (
     norm_vector,
 )
 from fraclap.quadrature import gauss_jacobi, map_to_interval
-from fraclap.specfun import gegenbauer_norm_h
+from fraclap.specfun import DomainError, gegenbauer_norm_h
 
 
 def test_eval_low_orders():
@@ -28,9 +31,10 @@ def test_eval_low_orders():
 @given(
     st.integers(min_value=0, max_value=30),
     st.floats(min_value=0.1, max_value=3.0),
-    st.floats(min_value=-1.0, max_value=1.0),
+    st.floats(min_value=-1.5, max_value=1.5),
 )
 def test_eval_matches_scipy(n, alpha, x):
+    # beyond [-1,1] too: mode right-hand sides evaluate between intervals
     ours = eval_gegenbauer(n, alpha, x)
     ref = sp_gegen(n, alpha, x)
     assert ours == pytest.approx(ref, rel=1e-10, abs=1e-10)
@@ -44,46 +48,58 @@ def test_batch_consistency():
         np.testing.assert_allclose(table[j], sp_gegen(j, 0.75, x), rtol=1e-12, atol=1e-12)
 
 
-def allocating_batch(n, alpha, x):
-    """The three-term recurrence with one temporary per operation."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty((n + 1,) + x.shape)
-    out[0] = 1.0
-    if n >= 1:
-        out[1] = 2.0 * alpha * x
-    for j in range(2, n + 1):
-        out[j] = (2.0 * x * (j + alpha - 1.0) * out[j - 1] - (j + 2.0 * alpha - 2.0) * out[j - 2]) / j
+def test_rejects_bad_degree_and_parameter():
+    for alpha in (-0.5, -2.0, np.nan):
+        with pytest.raises(DomainError):
+            eval_gegenbauer_batch(3, alpha, 0.2)
+        with pytest.raises(DomainError):
+            eval_gegenbauer(3, alpha, 0.2)
+    with pytest.raises(DomainError):
+        eval_gegenbauer_batch(-1, 0.7, 0.2)
+
+
+def test_eval_keeps_no_table():
+    # the (n+1) x 2000 table at n = 4096 alone would be 65.6 MB
+    x = np.linspace(-1.0, 1.0, 2000)
+    tracemalloc.start()
+    try:
+        eval_gegenbauer(4096, 0.85, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
+def mp_gegenbauer_table(n, alpha, points):
+    """C_j^{(alpha)}(x) for j = 0..n at each point, by the three-term
+    recurrence in 40-digit arithmetic; rows are degrees."""
+    out = np.empty((n + 1, len(points)))
+    with mpmath.workdps(40):
+        lam = mpmath.mpf(alpha)
+        for i, xi in enumerate(points):
+            x = mpmath.mpf(float(xi))
+            prev, c = mpmath.mpf(1), 2 * lam * x
+            out[0, i], out[1, i] = 1.0, float(c)
+            for j in range(2, n + 1):
+                prev, c = c, (2 * x * (j + lam - 1) * c - (j + 2 * lam - 2) * prev) / j
+                out[j, i] = float(c)
     return out
 
 
-def indexing_batch(n, alpha, x):
-    """The in-place recurrence indexing each row as out[j, ...]."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty((n + 1,) + x.shape)
-    out[0] = 1.0
-    if n >= 1:
-        out[1] = 2.0 * alpha * x
-    x2 = 2.0 * x
-    tmp = np.empty(x.shape)
-    for j in range(2, n + 1):
-        row = out[j, ...]
-        np.multiply(x2, j + alpha - 1.0, out=row)
-        row *= out[j - 1, ...]
-        np.multiply(j + 2.0 * alpha - 2.0, out[j - 2, ...], out=tmp)
-        row -= tmp
-        row /= j
-    return out
-
-
-@pytest.mark.parametrize("x", [0.37, np.linspace(-1.2, 1.2, 13), np.linspace(-1, 1, 12).reshape(3, 4)])
-@pytest.mark.parametrize("n", [0, 1, 2, 50])
-def test_batch_in_place_is_bitwise_the_allocating_recurrence(n, x):
-    for alpha in (0.6, 1.25):
-        got = eval_gegenbauer_batch(n, alpha, x)
-        want = allocating_batch(n, alpha, x)
-        assert got.shape == want.shape == (n + 1,) + np.shape(x)
-        assert got.tobytes() == want.tobytes()
-        assert np.array_equal(got, indexing_batch(n, alpha, x))
+def test_accurate_near_both_endpoints():
+    # the plain three-term recurrence in doubles is off by 3.9e-9 here
+    n, s = 1024, 0.35
+    nodes = gauss_jacobi(n, s).nodes
+    # rounded once so that the pullback of (-1, 1), (x + 1) - 1, keeps them
+    points = (np.concatenate(([-1.0], nodes[:2], nodes[-2:], [1.0])) + 1.0) - 1.0
+    want = mp_gegenbauer_table(n, s + 0.5, points)
+    got = eval_gegenbauer_batch(n, s + 0.5, points)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-11
+    h = norm_vector(n, s)
+    for j in (n - 1, n):  # the top modes, where the three-term error is largest
+        c = GegenbauerCoeffs(s, (-1.0, 1.0), np.eye(n + 1)[j])
+        rel = evaluate_expansion(c, points) * h[j] / want[j] - 1.0
+        assert np.max(np.abs(rel)) <= 1e-11
 
 
 def test_growth_on_interval():

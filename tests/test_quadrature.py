@@ -169,13 +169,13 @@ def test_rule_takes_two_recurrence_passes(monkeypatch, n):
     # the fourth-order first step leaves the second pass's step at
     # roundoff; the asymptotic guesses are exact for alpha = 1/2
     passes = []
-    pair = quadrature._jacobi_pair
+    pair = quadrature.jacobi_ratios
 
     def counting(*args, **kwargs):
         passes.append(args[1])
         return pair(*args, **kwargs)
 
-    monkeypatch.setattr(quadrature, "_jacobi_pair", counting)
+    monkeypatch.setattr(quadrature, "jacobi_ratios", counting)
     for alpha in (0.01, 0.25, 0.75, 0.99):
         gauss_jacobi(n, alpha)
         assert 1 <= passes.count(alpha) <= 2, alpha

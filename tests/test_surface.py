@@ -6,7 +6,8 @@ definition, by the package itself (re-exports in __init__.py do not
 count), by the benchmark (perfbench/*.py), by an experiment script
 (scripts/*.py) or by the acceptance criteria (tests/test_acceptance.py).
 A name only its unit tests use is a liability: delete it or give it a
-caller.
+caller.  Conversely no module uses another module's underscore names:
+what two modules share is public.
 """
 
 import ast
@@ -46,3 +47,24 @@ def test_every_public_name_has_a_caller():
             if not any(word.search(line) for lines in outside for line in lines):
                 unused.append(f"{module.stem}.{name}")
     assert unused == [], f"public names without a caller outside their own tests: {unused}"
+
+
+def test_no_module_reaches_into_another_modules_private_names():
+    # a helper two modules share is public and documented in one place
+    reached = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        modules = set()  # local names bound to fraclap modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("fraclap")):
+                for alias in node.names:
+                    if alias.name.startswith("_"):
+                        reached.append(f"{path.stem}: {alias.name}")
+                    if node.module is None or node.module == "fraclap":
+                        modules.add(alias.asname or alias.name)
+            elif isinstance(node, ast.Import):
+                modules.update(a.asname or a.name for a in node.names if a.name.startswith("fraclap"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_") and ast.unparse(node.value) in modules:
+                reached.append(f"{path.stem}: {ast.unparse(node)}")
+    assert reached == [], f"private names used outside their module: {reached}"
