@@ -7,6 +7,16 @@ odd j at x < 0, with C_j(1) = (2 alpha)_j / j!.  The transforms fold
 C_j(1) / h_j and the sign into their coefficient or weight vector and
 act with the table's even and odd rows, so no pass rescales the table.
 
+The discrete transform pair at the Gauss-Jacobi nodes has one home: the
+reference block of (n, s) from gauss_basis, through which the solver's
+K^-1 and forward_transform both run.  It holds the rule, the table of
+P_j / P_j(1) that the rule's last Newton pass writes, and the spectrum.
+The nodes are symmetric about 0 and C_j(-x) = (-1)^j C_j(x), so the
+table covers only the nonnegative half: even modes see the sum of
+mirrored node values, odd modes their difference.  The blocks of keys
+that recur are kept and shared, read-only, between solves and threads;
+a sweep that never repeats a key holds no extra memory.
+
 Coefficient vectors are always stored against the reference variable
 on [-1,1]; the attached interval only enters through the affine
 pullback.
@@ -14,12 +24,19 @@ pullback.
 
 from __future__ import annotations
 
+import logging
+import math
+import threading
+import time
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import QuadratureRule, jacobi_ratios
+from .quadrature import QuadratureRule, gauss_jacobi, jacobi_ratios, map_to_interval
 from .specfun import DomainError, s_value, spectrum
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -37,6 +54,8 @@ class GegenbauerCoeffs:
     def __post_init__(self):
         object.__setattr__(self, "s", s_value(self.s))
         a, b = self.interval
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise DomainError(f"interval endpoints must be finite, got ({a}, {b})")
         if not a < b:
             raise DomainError(f"interval endpoints must satisfy a < b, got ({a}, {b})")
         coeffs = np.asarray(self.coeffs, dtype=float)
@@ -60,18 +79,6 @@ def _at_one(n: int, alpha: float) -> np.ndarray:
     return np.cumprod(np.concatenate(([1.0], ((j - 1.0) + 2.0 * alpha) / j)))
 
 
-def eval_gegenbauer_batch(n: int, alpha: float, x) -> np.ndarray:
-    """All C_j^{(alpha)}(x), j = 0..n, of shape (n+1,) + shape(x); any real x."""
-    at_one = _at_one(n, alpha)
-    x = np.asarray(x, dtype=float)
-    flat = x.reshape(-1)
-    rows = np.empty((n + 1, flat.size))
-    jacobi_ratios(n, alpha - 0.5, np.abs(flat), rows)
-    rows[1::2, flat < 0] *= -1.0
-    rows *= at_one[:, None]
-    return rows.reshape((n + 1,) + x.shape)
-
-
 def eval_gegenbauer(n: int, alpha: float, x):
     """C_n^{(alpha)}(x), in O(n) work and O(size(x)) memory."""
     at_one = _at_one(n, alpha)[n]
@@ -86,24 +93,134 @@ def norm_vector(n: int, s) -> np.ndarray:
     return spectrum(n, s)[1]
 
 
-def _reference_rule_view(rule: QuadratureRule):
-    """Nodes and weights of the rule pulled back to the reference frame."""
-    if rule.interval == (-1.0, 1.0):
-        return rule.nodes, rule.weights
-    a, b = rule.interval
-    half = 0.5 * (b - a)
-    ref_x = (rule.nodes - 0.5 * (a + b)) / half
-    ref_w = rule.weights / half ** (2.0 * rule.alpha + 1.0)
-    return ref_x, ref_w
+class _ReferenceBlock:
+    """K^-1 for every interval of resolution n, in the reference frame.
+
+    Holds the Gauss-Jacobi rule, the half-width table
+    T[j, i] = P_j(x_i) / P_j(1) of the Jacobi polynomials of exponents
+    (s, s) on the rule's ceil((n+1)/2) nonnegative nodes, filled by the
+    rule's own last Newton pass, and the eigenvalues lambda_j.  The
+    Gegenbauer polynomial is C_j^{(s+1/2)} = C_j(1) P_j / P_j(1) with
+    C_j(1) = lambda_j / Gamma(2s+1), so that scale is folded into the
+    norms: norms[j] = h_j Gamma(2s+1), and C~_j = lambda_j T[j] / norms[j].
+    K^-1 is interval-independent in this frame (affine scale
+    invariance), so all intervals of resolution n share one block.
+
+    The rule is exactly symmetric and P_j(-x) = (-1)^j P_j(x), so the
+    even rows of T act on the sum of each node's value and its mirror
+    image's, and the odd rows on their difference; the centre node of
+    an odd-sized rule is counted once.  coeffs and values work on the
+    last axis, so one call serves a stack of intervals: two GEMMs each
+    way, with the strided row views T[0::2] and T[1::2].
+    """
+
+    def __init__(self, n: int, sv: float):
+        self.table = np.empty((n + 1, n // 2 + 1))
+        self.rule = gauss_jacobi(n, sv, rows=self.table)
+        self.lower = (n + 1) // 2  # nodes below 0; rule.nodes[lower:] are the rest
+        self.centre = (n + 1) % 2  # 1 when 0 is a node
+        self.lam, h = spectrum(n, sv)
+        self.norms = h * math.gamma(2.0 * sv + 1.0)
+        for a in (self.table, self.lam, self.norms):  # shared between solves, as the rule is
+            a.setflags(write=False)
+        arrays = (self.table, self.lam, self.norms, self.rule.nodes, self.rule.weights)
+        self.nbytes = sum(a.nbytes for a in arrays)
+
+    def coeffs(self, values):
+        """Coefficients phi_j = f_j / lambda_j of K^-1 f, from the node values of f."""
+        weighted = values * self.rule.weights
+        mirrored = weighted[..., : self.lower][..., ::-1]
+        plus = weighted[..., self.lower:].copy()
+        minus = plus.copy()
+        plus[..., self.centre:] += mirrored
+        minus[..., self.centre:] -= mirrored
+        out = np.empty(weighted.shape)
+        out[..., 0::2] = plus @ self.table[0::2].T
+        out[..., 1::2] = minus @ self.table[1::2].T
+        return out / self.norms  # lambda_j of C_j(1) cancels the 1 / lambda_j of K^-1
+
+    def values(self, coeffs):
+        """Node values of sum_j c_j C~_j."""
+        scaled = coeffs * (self.lam / self.norms)
+        even = scaled[..., 0::2] @ self.table[0::2]
+        odd = scaled[..., 1::2] @ self.table[1::2]
+        below = (even - odd)[..., self.centre:][..., ::-1]
+        return np.concatenate((below, even + odd), axis=-1)
+
+
+# Bytes of reference blocks the process keeps, and how many (n, s) keys
+# it remembers to tell a recurring key from a new one.
+_MEMO_BYTES = 32 * 2**20
+_MEMO_KEYS = 256
+
+
+class _BlockMemo:
+    """Reference blocks by (n, s), kept once their key recurs.
+
+    The first request for a key builds a block and remembers only the
+    key; a later request builds it again and keeps it (unless it alone
+    exceeds _MEMO_BYTES), and requests after that share it.  Kept blocks
+    are evicted least-recently-used to stay within _MEMO_BYTES, and the
+    remembered keys are the _MEMO_KEYS most recent.  Blocks are built
+    outside the lock, so two threads may build the same one; the first
+    to finish is kept.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._blocks = OrderedDict()  # key -> block, least recently used first
+        self._seen = OrderedDict()  # keys requested, least recently first
+        self._bytes = 0
+
+    def get(self, n: int, sv: float) -> _ReferenceBlock:
+        key = (n, sv)
+        with self._lock:
+            block = self._blocks.get(key)
+            if block is not None:
+                self._blocks.move_to_end(key)
+                return block
+            recurs = self._seen.pop(key, False)
+            self._seen[key] = True
+            if len(self._seen) > _MEMO_KEYS:
+                self._seen.popitem(last=False)
+        start = time.perf_counter()
+        block = _ReferenceBlock(n, sv)
+        ms = (time.perf_counter() - start) * 1e3
+        _log.debug("reference block n=%d s=%r built in %.2f ms: %d bytes", n, sv, ms, block.nbytes)
+        if not recurs or block.nbytes > _MEMO_BYTES:
+            return block
+        evicted = []
+        with self._lock:
+            kept = self._blocks.setdefault(key, block)
+            if kept is block:
+                self._bytes += block.nbytes
+                while self._bytes > _MEMO_BYTES:
+                    old_key, old = self._blocks.popitem(last=False)
+                    self._bytes -= old.nbytes
+                    evicted.append((old_key, old.nbytes))
+        if kept is block:
+            _log.debug("reference block n=%d s=%r retained: %d bytes", n, sv, block.nbytes)
+        for (old_n, old_sv), size in evicted:
+            _log.debug("reference block n=%d s=%r evicted: %d bytes", old_n, old_sv, size)
+        return kept
+
+
+_MEMO = _BlockMemo()
+
+
+def gauss_basis(n: int, s) -> _ReferenceBlock:
+    """The reference block of gauss_jacobi(n, s): the discrete transform
+    pair at its nodes, shared read-only once the key (n, s) recurs."""
+    return _MEMO.get(n, s_value(s))
 
 
 def forward_transform(values, rule: QuadratureRule, s) -> GegenbauerCoeffs:
     """Discrete coefficients f_j = (1/h_j) sum_i f(x_i) C_j(x_i) w_i, j = 0..n.
 
-    The coefficients are tagged with the rule's interval.  The inner
-    product is always formed in the reference frame, so a mapped rule is
-    first pulled back; this makes coefficient vectors of affinely
-    related data identical across intervals.  Exact to roundoff
+    rule must be gauss_jacobi(n, s) or its map_to_interval image
+    (ValueError otherwise).  The coefficients are tagged with its
+    interval but formed in the reference frame, by gauss_basis(n, s), so
+    affinely related data give identical vectors.  Exact to roundoff
     whenever deg(f) + j <= 2n+1.
     """
     values = np.asarray(values, dtype=float)
@@ -112,17 +229,13 @@ def forward_transform(values, rule: QuadratureRule, s) -> GegenbauerCoeffs:
     sv = s_value(s)
     if abs(rule.alpha - sv) > 1e-12:
         raise ValueError(f"rule weight exponent {rule.alpha} does not match s = {sv}")
-    ref_x, ref_w = _reference_rule_view(rule)
     n = len(rule) - 1
-    rows = np.empty((n + 1, n + 1))
-    jacobi_ratios(n, sv, np.abs(ref_x), rows)
-    weighted = values * ref_w
-    coeffs = np.empty(n + 1)
-    coeffs[0::2] = rows[0::2] @ weighted
-    coeffs[1::2] = rows[1::2] @ np.where(ref_x < 0, -weighted, weighted)
-    coeffs *= _at_one(n, sv + 0.5) / norm_vector(n, sv)
+    basis = gauss_basis(n, sv)
     a, b = rule.interval
-    return GegenbauerCoeffs(sv, (float(a), float(b)), coeffs)
+    reference = (a, b) == (-1.0, 1.0) and np.array_equal(rule.nodes, basis.rule.nodes)
+    if not (reference or np.array_equal(rule.nodes, map_to_interval(basis.rule, a, b).nodes)):
+        raise ValueError(f"the rule is not gauss_jacobi({n}, {sv}) or its image on ({a}, {b})")
+    return GegenbauerCoeffs(sv, (float(a), float(b)), basis.lam * basis.coeffs(values))
 
 
 def evaluate_expansion(c: GegenbauerCoeffs, x):

@@ -13,39 +13,23 @@ fixed the discrete operator is a constant, and GMRES only applies it;
 iteration counts stay bounded as the resolution grows.  What depends on
 the domain is built per solve: the rules mapped onto the intervals and
 one kernel block per pair of intervals.  What depends on (N, s) alone,
-the reference block of K^-1 (Gauss-Jacobi rule, the Gegenbauer table
-that the rule's last Newton pass writes, spectrum), is the same for
-every interval and every domain, so the process keeps the blocks of
-keys that recur and shares them, read-only, between solves and threads.
-A block is kept only from the second request for its key on: a sweep
-over fresh orders or resolutions never asks twice, and holding its
-large tables would only grow the heap.  The kept blocks are evicted
-least-recently-used beyond a fixed byte budget.
-
-The Gauss-Jacobi nodes are symmetric about 0 and C_j(-x) = (-1)^j C_j(x),
-so each table holds only the nonnegative half of its nodes: the even
-modes see the sum of mirrored node values and the odd modes their
-difference.  K^-1 is applied to all intervals of one resolution at
-once, as two GEMMs with the table's even and odd rows each way.
+the reference block of K^-1, is the same for every interval and every
+domain; it comes from gegenbauer.gauss_basis, which holds the discrete
+transform pair and shares recurring blocks between solves.  K^-1 is
+applied to all intervals of one resolution at once, as one stack.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-import threading
-import time
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gegenbauer import GegenbauerCoeffs
+from .gegenbauer import GegenbauerCoeffs, gauss_basis
 from .operator_core import c1_constant
-from .quadrature import gauss_jacobi, map_to_interval
-from .specfun import DomainError, s_value, spectrum
-
-_log = logging.getLogger(__name__)
+from .quadrature import map_to_interval
+from .specfun import DomainError, s_value
 
 
 @dataclass(frozen=True)
@@ -201,126 +185,11 @@ def gmres(apply_A, rhs, tol: float = 1e-13) -> GMRESResult:
     return GMRESResult(x, k_done, np.array(history), history[-1] <= tol)
 
 
-class _ReferenceBlock:
-    """K^-1 for every interval of resolution n, in the reference frame.
-
-    Holds the Gauss-Jacobi rule, the half-width table
-    T[j, i] = P_j(x_i) / P_j(1) of the Jacobi polynomials of exponents
-    (s, s) on the rule's ceil((n+1)/2) nonnegative nodes, filled by the
-    rule's own last Newton pass, and the eigenvalues lambda_j.  The
-    Gegenbauer polynomial is C_j^{(s+1/2)} = C_j(1) P_j / P_j(1) with
-    C_j(1) = lambda_j / Gamma(2s+1), so that scale is folded into the
-    norms: norms[j] = h_j Gamma(2s+1), and C~_j = lambda_j T[j] / norms[j].
-    K^-1 is interval-independent in this frame (affine scale
-    invariance), so all intervals of resolution n share one block.
-
-    The rule is exactly symmetric and P_j(-x) = (-1)^j P_j(x), so the
-    even rows of T act on the sum of each node's value and its mirror
-    image's, and the odd rows on their difference; the centre node of
-    an odd-sized rule is counted once.  coeffs and values work on the
-    last axis, so one call serves a stack of intervals: two GEMMs each
-    way, with the strided row views T[0::2] and T[1::2].
-    """
-
-    def __init__(self, n: int, sv: float):
-        self.table = np.empty((n + 1, n // 2 + 1))
-        self.rule = gauss_jacobi(n, sv, rows=self.table)
-        self.lower = (n + 1) // 2  # nodes below 0; rule.nodes[lower:] are the rest
-        self.centre = (n + 1) % 2  # 1 when 0 is a node
-        self.lam, h = spectrum(n, sv)
-        self.norms = h * math.gamma(2.0 * sv + 1.0)
-        for a in (self.table, self.lam, self.norms):  # shared between solves, as the rule is
-            a.setflags(write=False)
-        arrays = (self.table, self.lam, self.norms, self.rule.nodes, self.rule.weights)
-        self.nbytes = sum(a.nbytes for a in arrays)
-
-    def coeffs(self, values):
-        """Coefficients phi_j = f_j / lambda_j of K^-1 f, from the node values of f."""
-        weighted = values * self.rule.weights
-        mirrored = weighted[..., : self.lower][..., ::-1]
-        plus = weighted[..., self.lower:].copy()
-        minus = plus.copy()
-        plus[..., self.centre:] += mirrored
-        minus[..., self.centre:] -= mirrored
-        out = np.empty(weighted.shape)
-        out[..., 0::2] = plus @ self.table[0::2].T
-        out[..., 1::2] = minus @ self.table[1::2].T
-        return out / self.norms  # lambda_j of C_j(1) cancels the 1 / lambda_j of K^-1
-
-    def values(self, coeffs):
-        """Node values of sum_j c_j C~_j."""
-        scaled = coeffs * (self.lam / self.norms)
-        even = scaled[..., 0::2] @ self.table[0::2]
-        odd = scaled[..., 1::2] @ self.table[1::2]
-        below = (even - odd)[..., self.centre:][..., ::-1]
-        return np.concatenate((below, even + odd), axis=-1)
-
-
-# Bytes of reference blocks the process keeps, and how many (n, s) keys
-# it remembers to tell a recurring key from a new one.
-_MEMO_BYTES = 32 * 2**20
-_MEMO_KEYS = 256
-
-
-class _BlockMemo:
-    """Reference blocks by (n, s), kept once their key recurs.
-
-    The first request for a key builds a block and remembers only the
-    key; a later request builds it again and keeps it (unless it alone
-    exceeds _MEMO_BYTES), and requests after that share it.  Kept blocks
-    are evicted least-recently-used to stay within _MEMO_BYTES, and the
-    remembered keys are the _MEMO_KEYS most recent.  Blocks are built
-    outside the lock, so two threads may build the same one; the first
-    to finish is kept.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._blocks = OrderedDict()  # key -> block, least recently used first
-        self._seen = OrderedDict()  # keys requested, least recently first
-        self._bytes = 0
-
-    def get(self, n: int, sv: float) -> _ReferenceBlock:
-        key = (n, sv)
-        with self._lock:
-            block = self._blocks.get(key)
-            if block is not None:
-                self._blocks.move_to_end(key)
-                return block
-            recurs = self._seen.pop(key, False)
-            self._seen[key] = True
-            if len(self._seen) > _MEMO_KEYS:
-                self._seen.popitem(last=False)
-        start = time.perf_counter()
-        block = _ReferenceBlock(n, sv)
-        ms = (time.perf_counter() - start) * 1e3
-        _log.debug("reference block n=%d s=%r built in %.2f ms: %d bytes", n, sv, ms, block.nbytes)
-        if not recurs or block.nbytes > _MEMO_BYTES:
-            return block
-        evicted = []
-        with self._lock:
-            kept = self._blocks.setdefault(key, block)
-            if kept is block:
-                self._bytes += block.nbytes
-                while self._bytes > _MEMO_BYTES:
-                    old_key, old = self._blocks.popitem(last=False)
-                    self._bytes -= old.nbytes
-                    evicted.append((old_key, old.nbytes))
-        if kept is block:
-            _log.debug("reference block n=%d s=%r retained: %d bytes", n, sv, block.nbytes)
-        for (old_n, old_sv), size in evicted:
-            _log.debug("reference block n=%d s=%r evicted: %d bytes", old_n, old_sv, size)
-        return kept
-
-
-_MEMO = _BlockMemo()
-
-
 class _Discretization:
     """The discrete operator of one solve, assembled once.
 
-    Intervals of equal resolution share a _ReferenceBlock, taken from
-    _MEMO, and K^-1 is applied to all of them at once: their node values
+    Intervals of equal resolution share a reference block, taken from
+    gauss_basis, and K^-1 is applied to all of them at once: their node values
     are gathered into one stack, so each distinct resolution costs two
     GEMMs each way however many intervals use it.  The coupling holds
     one kernel block per pair of intervals j < l and applies its
@@ -333,7 +202,7 @@ class _Discretization:
         members = {}
         for j, n in enumerate(ns):
             members.setdefault(n, []).append(j)
-        refs = {n: _MEMO.get(n, self.sv) for n in members}
+        refs = {n: gauss_basis(n, self.sv) for n in members}
         self.rules = [
             map_to_interval(refs[n].rule, a, b) for n, (a, b) in zip(ns, domain.intervals)
         ]
@@ -379,12 +248,15 @@ def solve(spec) -> MultiSolution:
     """Solve the Dirichlet problem of the given ProblemSpec.
 
     Assembles the discrete operator, samples the right-hand side at the
-    nodes (DomainError unless every sample is finite), and iterates
-    GMRES on Y -> Y + K^-1 R Y.  With a single interval the remainder
-    vanishes: the coefficients are K^-1 F and GMRES is skipped.
+    nodes (DomainError unless it gives one finite value per node), and
+    iterates GMRES on Y -> Y + K^-1 R Y.  With a single interval the
+    remainder vanishes: the coefficients are K^-1 F and GMRES is skipped.
     """
     disc = _Discretization(spec.domain, spec.s, spec.n)
-    F = np.concatenate([np.asarray(spec.rhs(rule.nodes), dtype=float) for rule in disc.rules])
+    samples = [np.asarray(spec.rhs(rule.nodes), dtype=float) for rule in disc.rules]
+    if any(f.shape != rule.nodes.shape for f, rule in zip(samples, disc.rules)):
+        raise DomainError("the right-hand side does not give one value per quadrature node")
+    F = np.concatenate(samples)
     if not np.all(np.isfinite(F)):
         raise DomainError("the right-hand side is not finite at every quadrature node")
 

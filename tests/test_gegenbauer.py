@@ -6,15 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import eval_gegenbauer as sp_gegen
 
+from fraclap import gegenbauer
 from fraclap.gegenbauer import (
     GegenbauerCoeffs,
     eval_gegenbauer,
-    eval_gegenbauer_batch,
     evaluate_expansion,
     forward_transform,
     norm_vector,
 )
-from fraclap.quadrature import gauss_jacobi, map_to_interval
+from fraclap.quadrature import QuadratureRule, gauss_jacobi, map_to_interval
 from fraclap.specfun import DomainError, gegenbauer_norm_h
 
 
@@ -40,22 +40,12 @@ def test_eval_matches_scipy(n, alpha, x):
     assert ours == pytest.approx(ref, rel=1e-10, abs=1e-10)
 
 
-def test_batch_consistency():
-    x = np.linspace(-1, 1, 7)
-    table = eval_gegenbauer_batch(8, 0.75, x)
-    assert table.shape == (9, 7)
-    for j in (0, 3, 8):
-        np.testing.assert_allclose(table[j], sp_gegen(j, 0.75, x), rtol=1e-12, atol=1e-12)
-
-
 def test_rejects_bad_degree_and_parameter():
     for alpha in (-0.5, -2.0, np.nan):
         with pytest.raises(DomainError):
-            eval_gegenbauer_batch(3, alpha, 0.2)
-        with pytest.raises(DomainError):
             eval_gegenbauer(3, alpha, 0.2)
     with pytest.raises(DomainError):
-        eval_gegenbauer_batch(-1, 0.7, 0.2)
+        eval_gegenbauer(-1, 0.7, 0.2)
 
 
 def test_eval_keeps_no_table():
@@ -93,8 +83,9 @@ def test_accurate_near_both_endpoints():
     # rounded once so that the pullback of (-1, 1), (x + 1) - 1, keeps them
     points = (np.concatenate(([-1.0], nodes[:2], nodes[-2:], [1.0])) + 1.0) - 1.0
     want = mp_gegenbauer_table(n, s + 0.5, points)
-    got = eval_gegenbauer_batch(n, s + 0.5, points)
-    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-11
+    for j in (0, 1, 2, 7, 64, 255, 511, 512, n - 1, n):
+        got = eval_gegenbauer(j, s + 0.5, points)
+        assert np.max(np.abs(got - want[j]) / np.abs(want[j])) <= 1e-11
     h = norm_vector(n, s)
     for j in (n - 1, n):  # the top modes, where the three-term error is largest
         c = GegenbauerCoeffs(s, (-1.0, 1.0), np.eye(n + 1)[j])
@@ -151,6 +142,42 @@ def test_forward_transform_length_mismatch():
         forward_transform(np.ones(5), rule, 0.3)  # alpha mismatch
 
 
+def test_forward_transform_rejects_rules_not_from_gauss_jacobi():
+    # its exactness holds at the Gauss-Jacobi nodes only; a symmetric rule
+    # of the right size and exponent, or the right nodes labelled with
+    # another interval, is not such a rule
+    n, s = 4, 0.3
+    hand_built = QuadratureRule(s, np.linspace(-0.8, 0.8, n + 1), np.full(n + 1, 0.3))
+    mapped = map_to_interval(gauss_jacobi(n, s), 2.0, 3.0)
+    relabelled = QuadratureRule(s, mapped.nodes, mapped.weights, interval=(1.5, 3.5))
+    for rule in (hand_built, map_to_interval(hand_built, 2.0, 3.0), relabelled):
+        with pytest.raises(ValueError):
+            forward_transform(np.ones(n + 1), rule, s)
+    for rule in (mapped, map_to_interval(gauss_jacobi(n, s), -1.0, 1.0)):
+        forward_transform(np.ones(n + 1), rule, s)
+
+
+def test_forward_transform_shares_its_basis_once_the_key_recurs(monkeypatch):
+    monkeypatch.setattr(gegenbauer, "_MEMO", gegenbauer._BlockMemo())
+    built = []
+    build = gegenbauer.gauss_jacobi
+
+    def counting(*args, **kwargs):
+        built.append(args[:2])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(gegenbauer, "gauss_jacobi", counting)
+    n, s = 16, 0.3
+    rule = gauss_jacobi(n, s)
+    values = np.cos(rule.nodes)
+    first = forward_transform(values, rule, s)
+    forward_transform(values, rule, s)
+    assert built == [(n, s), (n, s)]
+    third = forward_transform(values, rule, s)
+    assert built == [(n, s), (n, s)]
+    assert np.array_equal(third.coeffs, first.coeffs)
+
+
 def test_roundtrip_polynomial():
     s = 0.55
     n = 9
@@ -188,6 +215,12 @@ def test_discrete_parseval():
     lhs = float(np.sum(c.coeffs**2))
     rhs = float(np.dot(rule.weights, vals**2))
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def test_coeffs_reject_non_finite_endpoints():
+    for interval in ((0.0, np.inf), (-np.inf, 0.0), (0.0, np.nan), (np.nan, 1.0)):
+        with pytest.raises(DomainError):
+            GegenbauerCoeffs(0.5, interval, np.ones(3))
 
 
 def test_evaluate_expansion_basics():

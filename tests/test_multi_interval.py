@@ -14,15 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fraclap import multi_interval
-from fraclap.gegenbauer import eval_gegenbauer_batch, evaluate_expansion, forward_transform
-from fraclap.multi_interval import (
-    Domain,
-    _ReferenceBlock,
-    apply_offdiagonal,
-    gmres,
-    solve,
-)
+from fraclap import gegenbauer, multi_interval
+from fraclap.gegenbauer import _ReferenceBlock, evaluate_expansion, forward_transform
+from fraclap.multi_interval import Domain, apply_offdiagonal, gmres, solve
 from fraclap.operator_core import solve_diagonal
 from fraclap.oracle import PVConfig, pv_exterior
 from fraclap.problem import ProblemSpec, resolve_rhs
@@ -60,6 +54,22 @@ def test_solve_rejects_non_finite_rhs(intervals, value):
 
     with pytest.raises(DomainError):
         solve(ProblemSpec(0.5, Domain(intervals), f, n=8))
+
+
+@pytest.mark.parametrize(
+    "rhs",
+    [lambda x: 1.0, lambda x: np.ones(1), lambda x: np.ones((x.size, 2))],
+    ids=["scalar", "length-1", "two-columns"],
+)
+@pytest.mark.parametrize("intervals", [((-1.0, 1.0),), ((-1.0, -0.1), (0.1, 1.0))])
+def test_solve_rejects_rhs_without_one_value_per_node(intervals, rhs):
+    with pytest.raises(DomainError, match="right-hand side"):
+        solve(ProblemSpec(0.5, Domain(intervals), rhs, n=8))
+    # a list of one value per node is fine
+    as_list = solve(ProblemSpec(0.5, Domain(intervals), lambda x: [1.0] * x.size, n=8))
+    as_array = solve(ProblemSpec(0.5, Domain(intervals), np.ones_like, n=8))
+    for got, want in zip(as_list.blocks, as_array.blocks):
+        assert np.array_equal(got.coeffs, want.coeffs)
 
 
 def test_offdiagonal_single_interval_zero():
@@ -256,8 +266,8 @@ EIGHT_NS = (12, 20, 12, 12, 20, 12, 12, 12)
 @pytest.fixture
 def empty_memo(monkeypatch):
     """A fresh process-wide memo of reference blocks for one test."""
-    memo = multi_interval._BlockMemo()
-    monkeypatch.setattr(multi_interval, "_MEMO", memo)
+    memo = gegenbauer._BlockMemo()
+    monkeypatch.setattr(gegenbauer, "_MEMO", memo)
     return memo
 
 
@@ -320,7 +330,7 @@ def test_memo_keeps_a_block_once_its_key_recurs(empty_memo):
 
 
 def test_memo_remembers_a_bounded_number_of_keys(empty_memo, monkeypatch):
-    monkeypatch.setattr(multi_interval, "_MEMO_KEYS", 3)
+    monkeypatch.setattr(gegenbauer, "_MEMO_KEYS", 3)
     for s in (0.1, 0.2, 0.3, 0.1, 0.4):
         empty_memo.get(4, s)
     assert list(empty_memo._seen) == [(4, 0.3), (4, 0.1), (4, 0.4)]
@@ -331,7 +341,7 @@ def test_memo_remembers_a_bounded_number_of_keys(empty_memo, monkeypatch):
 
 def test_memo_evicts_least_recently_used_within_budget(empty_memo, monkeypatch):
     size = _ReferenceBlock(16, 0.3).nbytes  # the same for every s
-    monkeypatch.setattr(multi_interval, "_MEMO_BYTES", 2 * size + size // 2)
+    monkeypatch.setattr(gegenbauer, "_MEMO_BYTES", 2 * size + size // 2)
 
     def request_twice(n, s):
         empty_memo.get(n, s)
@@ -344,7 +354,7 @@ def test_memo_evicts_least_recently_used_within_budget(empty_memo, monkeypatch):
     assert list(empty_memo._blocks) == [(16, 0.3), (16, 0.5)]
     assert empty_memo._bytes == 2 * size
     # a block larger than the whole budget is never kept
-    assert _ReferenceBlock(64, 0.3).nbytes > multi_interval._MEMO_BYTES
+    assert _ReferenceBlock(64, 0.3).nbytes > gegenbauer._MEMO_BYTES
     for _ in range(3):
         empty_memo.get(64, 0.3)
     assert list(empty_memo._blocks) == [(16, 0.3), (16, 0.5)]
@@ -361,7 +371,7 @@ def test_shared_block_arrays_are_read_only(empty_memo):
 
 def test_memo_logs_builds_kept_and_evicted_blocks(empty_memo, monkeypatch, caplog):
     size = _ReferenceBlock(6, 0.3).nbytes
-    monkeypatch.setattr(multi_interval, "_MEMO_BYTES", size)
+    monkeypatch.setattr(gegenbauer, "_MEMO_BYTES", size)
     with caplog.at_level(logging.DEBUG, logger="fraclap"):
         for s in (0.3, 0.3, 0.4, 0.4):
             empty_memo.get(6, s)
@@ -369,13 +379,13 @@ def test_memo_logs_builds_kept_and_evicted_blocks(empty_memo, monkeypatch, caplo
     records = [(r.name, r.levelno, re.sub(r" in \S+ ms", "", r.getMessage())) for r in caplog.records]
     line = "reference block n=6 s={} {}: %d bytes" % size
     assert records == [
-        ("fraclap.multi_interval", logging.DEBUG, line.format(0.3, "built")),
-        ("fraclap.multi_interval", logging.DEBUG, line.format(0.3, "built")),
-        ("fraclap.multi_interval", logging.DEBUG, line.format(0.3, "retained")),
-        ("fraclap.multi_interval", logging.DEBUG, line.format(0.4, "built")),
-        ("fraclap.multi_interval", logging.DEBUG, line.format(0.4, "built")),
-        ("fraclap.multi_interval", logging.DEBUG, line.format(0.4, "retained")),
-        ("fraclap.multi_interval", logging.DEBUG, line.format(0.3, "evicted")),
+        ("fraclap.gegenbauer", logging.DEBUG, line.format(0.3, "built")),
+        ("fraclap.gegenbauer", logging.DEBUG, line.format(0.3, "built")),
+        ("fraclap.gegenbauer", logging.DEBUG, line.format(0.3, "retained")),
+        ("fraclap.gegenbauer", logging.DEBUG, line.format(0.4, "built")),
+        ("fraclap.gegenbauer", logging.DEBUG, line.format(0.4, "built")),
+        ("fraclap.gegenbauer", logging.DEBUG, line.format(0.4, "retained")),
+        ("fraclap.gegenbauer", logging.DEBUG, line.format(0.3, "evicted")),
     ]
 
 
@@ -385,7 +395,7 @@ def test_memo_logs_build_time(empty_memo, monkeypatch, caplog):
             time.sleep(0.05)
             super().__init__(n, sv)
 
-    monkeypatch.setattr(multi_interval, "_ReferenceBlock", SlowBlock)
+    monkeypatch.setattr(gegenbauer, "_ReferenceBlock", SlowBlock)
     with caplog.at_level(logging.DEBUG, logger="fraclap"):
         empty_memo.get(6, 0.3)
     [record] = caplog.records
@@ -406,7 +416,7 @@ def test_concurrent_solves_share_blocks_bitwise(empty_memo, monkeypatch):
         )
     ]
     want = [[block.coeffs for block in solve(spec).blocks] for spec in specs]
-    monkeypatch.setattr(multi_interval, "_MEMO_BYTES", 3 * _ReferenceBlock(20, 0.4).nbytes)
+    monkeypatch.setattr(gegenbauer, "_MEMO_BYTES", 3 * _ReferenceBlock(20, 0.4).nbytes)
     errors = []
     done = collections.Counter()
     deadline = time.monotonic() + 2.0
@@ -439,7 +449,7 @@ def test_concurrent_solves_share_blocks_bitwise(empty_memo, monkeypatch):
     assert errors == []
     assert len(done) == len(threads)
     kept = sum(block.nbytes for block in empty_memo._blocks.values())
-    assert empty_memo._bytes == kept <= multi_interval._MEMO_BYTES
+    assert empty_memo._bytes == kept <= gegenbauer._MEMO_BYTES
 
 
 def test_coefficients_solve_residual_equation():
@@ -551,23 +561,6 @@ def test_block_rows_match_mpmath_at_outermost_nodes():
                 at_one *= (j + 2 * lam - 1) / j
                 want[j, i] = float(c / at_one)
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-11
-
-
-def test_block_builds_no_gegenbauer_table(monkeypatch):
-    # the table comes from the rule's last recurrence pass
-    calls = []
-    batch = eval_gegenbauer_batch
-
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return batch(*args, **kwargs)
-
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.startswith("fraclap") and getattr(mod, "eval_gegenbauer_batch", None) is batch:
-            monkeypatch.setattr(mod, "eval_gegenbauer_batch", counting)
-    for n in (0, 7, 64):
-        _ReferenceBlock(n, 0.3)
-    assert calls == []
 
 
 @pytest.mark.parametrize("ns", [(8, 5, 8), (5, 8, 5, 8)])

@@ -7,7 +7,9 @@ count), by the benchmark (perfbench/*.py), by an experiment script
 (scripts/*.py) or by the acceptance criteria (tests/test_acceptance.py).
 A name only its unit tests use is a liability: delete it or give it a
 caller.  Conversely no module uses another module's underscore names:
-what two modules share is public.
+what two modules share is public.  And the discrete Gegenbauer transform
+has one home: only quadrature.py and gegenbauer.py run the rules'
+recurrence or ask a rule for its table.
 """
 
 import ast
@@ -68,3 +70,21 @@ def test_no_module_reaches_into_another_modules_private_names():
             if isinstance(node, ast.Attribute) and node.attr.startswith("_") and ast.unparse(node.value) in modules:
                 reached.append(f"{path.stem}: {ast.unparse(node)}")
     assert reached == [], f"private names used outside their module: {reached}"
+
+
+def test_only_the_rules_and_the_transform_use_the_recurrence():
+    # a second module tabling the basis would fork the transform pair
+    used = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ("quadrature.py", "gegenbauer.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if "jacobi_ratios" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)):
+                used.append(f"{path.stem}: jacobi_ratios")
+            if (
+                isinstance(node, ast.Call)
+                and ast.unparse(node.func).split(".")[-1] == "gauss_jacobi"
+                and (len(node.args) > 2 or any(k.arg in ("rows", None) for k in node.keywords))
+            ):
+                used.append(f"{path.stem}: {ast.unparse(node)}")
+    assert used == [], f"modules outside quadrature.py and gegenbauer.py using the rules' recurrence: {used}"
