@@ -235,14 +235,15 @@ def cmd_convergence(spec: ProblemSpec, n_list, ref_n, out_prefix: str) -> int:
     elif ref_n <= n_list[-1]:
         raise ConfigError(f"reference resolution must exceed the largest N = {n_list[-1]}, got {ref_n}")
     _check_out(out_prefix, "_convergence.csv")
+    specs = [replace(spec, n=n) for n in n_list]
     ref = multi_interval.solve(replace(spec, n=ref_n))
     ref_scale = max(
         np.sqrt(sum(sobolev_metrics.hrs_norm(b, 0.0) ** 2 for b in ref.blocks)), 1e-300
     )
     rows = []
-    for n in n_list:
+    for n, spec_n in zip(n_list, specs):
         t0 = time.perf_counter()
-        sol = multi_interval.solve(replace(spec, n=n))
+        sol = multi_interval.solve(spec_n)
         elapsed = time.perf_counter() - t0
         e_l2 = np.sqrt(
             sum(
@@ -264,10 +265,7 @@ def cmd_convergence(spec: ProblemSpec, n_list, ref_n, out_prefix: str) -> int:
         order_h2s = sobolev_metrics.fit_order(n_list, errs_h2s)
     except ValueError:
         pass
-    try:  # needs at least 6 rows
-        super_algebraic = sobolev_metrics.is_super_algebraic(n_list, errs_l2)
-    except ValueError:
-        super_algebraic = False
+    super_algebraic = sobolev_metrics.is_super_algebraic(n_list, errs_l2)
     with open(out_prefix + "_convergence.csv", "w") as fh:
         fh.write("N,err_L2s,err_H2ss,seconds\n")
         for n, e1, e2, sec in rows:

@@ -12,11 +12,12 @@ over the concatenated node values Y of phi.  Once (domain, s, N) is
 fixed the discrete operator is a constant, and GMRES only applies it;
 iteration counts stay bounded as the resolution grows.  What depends on
 the domain is built per solve: the rules mapped onto the intervals and
-one kernel block per pair of intervals.  What depends on (N, s) alone,
-the reference block of K^-1, is the same for every interval and every
-domain; it comes from gegenbauer.gauss_basis, which holds the discrete
-transform pair and shares recurring blocks between solves.  K^-1 is
-applied to all intervals of one resolution at once, as one stack.
+one kernel block per interval against all later intervals.  What
+depends on (N, s) alone, the reference block of K^-1, is the same for
+every interval and every domain; it comes from gegenbauer.gauss_basis,
+which holds the discrete transform pair and shares recurring blocks
+between solves.  K^-1 is applied to all intervals of one resolution at
+once, as one stack.
 """
 
 from __future__ import annotations
@@ -63,12 +64,16 @@ class MultiSolution:
     """Per-interval regular factors phi plus solver diagnostics."""
 
     blocks: tuple[GegenbauerCoeffs, ...]
-    gmres_iterations: int
     residual_history: np.ndarray
 
     def __post_init__(self):
         if not self.blocks:
             raise ValueError("solution needs at least one coefficient block")
+
+    @property
+    def gmres_iterations(self) -> int:
+        """GMRES iterations taken (0 without GMRES)."""
+        return len(self.residual_history) - 1
 
     @property
     def final_residual(self) -> float:
@@ -84,26 +89,25 @@ class GMRESResult:
     converged: bool
 
 
-def _coupling_kernels(rules, sv):
-    """The kernel |x - y|^{-1-2s} between the nodes of each pair of
-    rules j < l, as (j, l, block) with block[i, k] = |x_i^(j) - y_k^(l)|^{-1-2s}.
-    The pair's other direction is the transpose, so it is not stored.
+def _coupling_kernels(nodes, offsets, sv):
+    """The kernel |x - y|^{-1-2s} from each interval j to all later ones:
+    block j holds |x_i^(j) - y_k|^{-1-2s} for y = nodes[offsets[j+1]:].
+    The other direction is the transpose, so it is not stored.
     """
     return [
-        (j, ell, np.abs(rules[j].nodes[:, None] - rules[ell].nodes[None, :]) ** (-1.0 - 2.0 * sv))
-        for j in range(len(rules))
-        for ell in range(j + 1, len(rules))
+        np.abs(nodes[lo:hi, None] - nodes[None, hi:]) ** (-1.0 - 2.0 * sv)
+        for lo, hi in zip(offsets[:-2], offsets[1:-1])
     ]
 
 
-def _apply_coupling(kernels, weighted, c1):
-    """-C_1 sum_{l != j} K_jl v_l for every interval j, from the blocks
-    of _coupling_kernels (K_lj = K_jl^T) and the weighted values v_l."""
-    acc = [np.zeros(v.size) for v in weighted]
-    for j, ell, kernel in kernels:
-        acc[j] += kernel @ weighted[ell]
-        acc[ell] += kernel.T @ weighted[j]
-    return [-c1 * a for a in acc]
+def _apply_coupling(kernels, offsets, weighted, c1):
+    """-C_1 sum_{l != j} K_jl v_l at the nodes of every interval j, from
+    the blocks of _coupling_kernels and the concatenated weighted values v."""
+    acc = np.zeros(weighted.size)
+    for kernel, lo, hi in zip(kernels, offsets, offsets[1:]):
+        acc[lo:hi] += kernel @ weighted[hi:]
+        acc[hi:] += kernel.T @ weighted[lo:hi]
+    return -c1 * acc
 
 
 def apply_offdiagonal(phi, rules, s):
@@ -118,13 +122,14 @@ def apply_offdiagonal(phi, rules, s):
     sv = s_value(s)
     if len(phi) != len(rules):
         raise ValueError("need one phi block per quadrature rule")
-    weighted = []
-    for block, rule in zip(phi, rules):
-        block = np.asarray(block, dtype=float)
-        if block.size != len(rule):
-            raise ValueError("phi node values do not match rule size")
-        weighted.append(block * rule.weights)
-    return _apply_coupling(_coupling_kernels(rules, sv), weighted, c1_constant(sv))
+    phi = [np.asarray(block, dtype=float) for block in phi]
+    if any(block.size != len(rule) for block, rule in zip(phi, rules)):
+        raise ValueError("phi node values do not match rule size")
+    offsets = np.cumsum([0] + [len(rule) for rule in rules])
+    nodes = np.concatenate([rule.nodes for rule in rules])
+    weighted = np.concatenate(phi) * np.concatenate([rule.weights for rule in rules])
+    kernels = _coupling_kernels(nodes, offsets, sv)
+    return np.split(_apply_coupling(kernels, offsets, weighted, c1_constant(sv)), offsets[1:-1])
 
 
 def gmres(apply_A, rhs, tol: float = 1e-13) -> GMRESResult:
@@ -188,12 +193,13 @@ def gmres(apply_A, rhs, tol: float = 1e-13) -> GMRESResult:
 class _Discretization:
     """The discrete operator of one solve, assembled once.
 
-    Intervals of equal resolution share a reference block, taken from
-    gauss_basis, and K^-1 is applied to all of them at once: their node values
-    are gathered into one stack, so each distinct resolution costs two
-    GEMMs each way however many intervals use it.  The coupling holds
-    one kernel block per pair of intervals j < l and applies its
-    transpose for the pair's other direction.
+    Node values, weights and coefficients are concatenated: interval j
+    holds entries offsets[j]:offsets[j+1].  Intervals of equal resolution
+    share a reference block, taken from gauss_basis, and K^-1 is applied
+    to all of them at once as one stack, so each distinct resolution
+    costs two GEMMs each way however many intervals use it.  The
+    coupling holds one kernel block per interval against all later
+    intervals and applies its transpose for the other direction.
     """
 
     def __init__(self, domain: Domain, s, ns):
@@ -203,66 +209,57 @@ class _Discretization:
         for j, n in enumerate(ns):
             members.setdefault(n, []).append(j)
         refs = {n: gauss_basis(n, self.sv) for n in members}
-        self.rules = [
-            map_to_interval(refs[n].rule, a, b) for n, (a, b) in zip(ns, domain.intervals)
-        ]
-        self.offsets = np.concatenate([[0], np.cumsum([len(r) for r in self.rules])])
-        # per resolution: its block, its intervals, and the (intervals, n+1)
-        # positions of their node values in the concatenated vector
+        rules = [map_to_interval(refs[n].rule, a, b) for n, (a, b) in zip(ns, domain.intervals)]
+        self.offsets = np.cumsum([0] + [n + 1 for n in ns])
+        self.nodes = np.concatenate([rule.nodes for rule in rules])
+        self.weights = np.concatenate([rule.weights for rule in rules])
+        # per resolution: its block and its intervals' (intervals, n+1) positions
         self.groups = [
-            (refs[n], js, self.offsets[js][:, None] + np.arange(n + 1))
-            for n, js in members.items()
+            (refs[n], self.offsets[js][:, None] + np.arange(n + 1)) for n, js in members.items()
         ]
-        self.kernels = _coupling_kernels(self.rules, self.sv)
+        self.kernels = _coupling_kernels(self.nodes, self.offsets, self.sv)
         self.c1 = c1_constant(self.sv)
 
-    def split(self, Y):
-        return [Y[self.offsets[j]: self.offsets[j + 1]] for j in range(len(self.rules))]
-
-    def kinv_coeffs(self, Y):
-        """Per-interval coefficient vectors of K^-1 Y."""
-        blocks = [None] * len(self.rules)
-        for ref, js, rows in self.groups:
-            for j, c in zip(js, ref.coeffs(Y[rows])):
-                blocks[j] = c
-        return blocks
+    def coeffs(self, Y):
+        """Concatenated coefficient vectors of K^-1 Y."""
+        out = np.empty(Y.size)
+        for ref, rows in self.groups:
+            out[rows] = ref.coeffs(Y[rows])
+        return out
 
     def kinv(self, Y):
         out = np.empty(Y.size)
-        for ref, _, rows in self.groups:
+        for ref, rows in self.groups:
             out[rows] = ref.values(ref.coeffs(Y[rows]))
         return out
 
     def offdiag(self, Y):
-        weighted = [v * rule.weights for v, rule in zip(self.split(Y), self.rules)]
-        return np.concatenate(_apply_coupling(self.kernels, weighted, self.c1))
+        return _apply_coupling(self.kernels, self.offsets, Y * self.weights, self.c1)
 
-    def solution_blocks(self, coeff_blocks):
+    def solution_blocks(self, C):
         return tuple(
             GegenbauerCoeffs(self.sv, interval, c)
-            for interval, c in zip(self.domain.intervals, coeff_blocks)
+            for interval, c in zip(self.domain.intervals, np.split(C, self.offsets[1:-1]))
         )
 
 
 def solve(spec) -> MultiSolution:
     """Solve the Dirichlet problem of the given ProblemSpec.
 
-    Assembles the discrete operator, samples the right-hand side at the
-    nodes (DomainError unless it gives one finite value per node), and
-    iterates GMRES on Y -> Y + K^-1 R Y.  With a single interval the
-    remainder vanishes: the coefficients are K^-1 F and GMRES is skipped.
+    Assembles the discrete operator, samples the right-hand side in one
+    call at all nodes (DomainError unless it gives one finite value per
+    node), and iterates GMRES on Y -> Y + K^-1 R Y.  With one interval
+    the remainder vanishes: the coefficients are K^-1 F, without GMRES.
     """
     disc = _Discretization(spec.domain, spec.s, spec.n)
-    samples = [np.asarray(spec.rhs(rule.nodes), dtype=float) for rule in disc.rules]
-    if any(f.shape != rule.nodes.shape for f, rule in zip(samples, disc.rules)):
+    F = np.asarray(spec.rhs(disc.nodes), dtype=float)
+    if F.shape != disc.nodes.shape:
         raise DomainError("the right-hand side does not give one value per quadrature node")
-    F = np.concatenate(samples)
     if not np.all(np.isfinite(F)):
         raise DomainError("the right-hand side is not finite at every quadrature node")
 
     if len(spec.domain) == 1:
-        blocks = disc.solution_blocks(disc.kinv_coeffs(F))
-        return MultiSolution(blocks, 0, np.array([0.0]))
+        return MultiSolution(disc.solution_blocks(disc.coeffs(F)), np.array([0.0]))
 
     result = gmres(lambda Y: Y + disc.kinv(disc.offdiag(Y)), disc.kinv(F), tol=spec.gmres_tol)
     if not result.converged:
@@ -273,5 +270,5 @@ def solve(spec) -> MultiSolution:
     # Final coefficients from the residual equation K phi = f - R Y,
     # which keeps the spectral (coefficient-space) representation exact
     # for the converged node values.
-    blocks = disc.solution_blocks(disc.kinv_coeffs(F - disc.offdiag(result.x)))
-    return MultiSolution(blocks, result.iterations, result.history)
+    blocks = disc.solution_blocks(disc.coeffs(F - disc.offdiag(result.x)))
+    return MultiSolution(blocks, result.history)

@@ -25,7 +25,7 @@ class Polynomial:
     """Monomial-basis polynomial; index k holds the coefficient of x^k.
 
     Trailing coefficients below 1e-14 of the largest magnitude are
-    trimmed on construction, so degree == len(coeffs) - 1 is meaningful.
+    trimmed on construction; the zero polynomial keeps a single 0.
     """
 
     coeffs: np.ndarray
@@ -41,12 +41,6 @@ class Polynomial:
         coeffs = coeffs.copy()
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def degree(self) -> int:
-        if self.coeffs.size == 1 and self.coeffs[0] == 0.0:
-            return -1
-        return self.coeffs.size - 1
 
     def __call__(self, x):
         return np.polynomial.polynomial.polyval(x, self.coeffs)

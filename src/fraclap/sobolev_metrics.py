@@ -63,22 +63,20 @@ def fit_order(ns, errors) -> float:
     return _slope_order(ns, errors)
 
 
-def is_super_algebraic(ns, errors) -> bool:
+def is_super_algebraic(ns, errors) -> bool | None:
     """True when the local order keeps increasing with N: over the rows
     above the roundoff floor (relative error 1e-12), the fit over their
     trailing half exceeds the fit over all of them by more than 0.5.
     Exponential decay err ~ rho^-N always trips this.  Rows on the floor
-    would flatten the trailing fit, so they are left out; fewer than 3
-    rows above it leave nothing to compare and read False.
+    would flatten the trailing fit, so they are left out.  None when it
+    cannot tell: with fewer than 6 rows, or fewer than 3 above the floor.
     """
     ns = np.asarray(ns, dtype=float)
     errors = np.asarray(errors, dtype=float)
-    if ns.size < 6:
-        raise ValueError("super-algebraic detection needs at least 6 rows")
     above = errors > _ROUNDOFF_FLOOR
+    if ns.size < 6 or np.count_nonzero(above) < 3:
+        return None
     ns, errors = ns[above], errors[above]
-    if ns.size < 3:
-        return False
     full = fit_order(ns, errors)
     half = ns.size // 2
     tail = _slope_order(ns[half:], errors[half:])

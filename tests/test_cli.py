@@ -305,6 +305,18 @@ def test_convergence_super_algebraic_for_smooth_rhs(tmp_path):
     assert json.loads((tmp_path / "conv_orders.json").read_text())["super_algebraic"] is True
 
 
+def test_convergence_too_few_rows_cannot_tell(tmp_path):
+    # the README example: five rows cannot show a rising order, so the
+    # verdict is null, not false
+    out = str(tmp_path / "conv")
+    code = run(
+        ["convergence", "--s", "0.25", "--interval", "-1", "1", "--rhs", "runge",
+         "--n", "16,32,64,128,256", "--ref-n", "512", "--out", out]
+    )
+    assert code == 0
+    assert json.loads((tmp_path / "conv_orders.json").read_text())["super_algebraic"] is None
+
+
 def test_convergence_bad_n_list(tmp_path):
     code = run(
         ["convergence", "--interval", "-1", "1", "--n", "32,16", "--out", str(tmp_path / "c")]
@@ -326,6 +338,14 @@ def test_convergence_reference_not_finer_exit_code(tmp_path, capsys, ref_n):
     err = capsys.readouterr().err
     assert err.startswith("config error") and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "c_convergence.csv").exists()
+
+
+def test_convergence_bad_resolution_fails_before_any_solve(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(fraclap.multi_interval, "solve", lambda spec: calls.append(spec))
+    code = run(["convergence", "--n", "0,16,32", "--ref-n", "4096", "--out", str(tmp_path / "c")])
+    assert_config_error(code, capsys)
+    assert calls == []
 
 
 def test_csv_bit_stable(tmp_path):

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from fraclap import gegenbauer, multi_interval
 from fraclap.gegenbauer import _ReferenceBlock, evaluate_expansion, forward_transform
 from fraclap.multi_interval import Domain, apply_offdiagonal, gmres, solve
-from fraclap.operator_core import solve_diagonal
+from fraclap.operator_core import c1_constant, solve_diagonal
 from fraclap.oracle import PVConfig, pv_exterior
 from fraclap.problem import ProblemSpec, resolve_rhs
 from fraclap.quadrature import gauss_jacobi, map_to_interval
@@ -111,6 +111,53 @@ def test_offdiagonal_matches_exterior_oracle():
     for k in range(0, n + 1, 5):
         x = rules[1].nodes[k]
         assert out[1][k] == pytest.approx(pv_exterior(u, x, s, (a0, b0)), abs=1e-6)
+
+
+FOUR_INTERVALS = ((-3.0, -1.5), (-1.0, 0.0), (0.2, 1.4), (2.0, 2.5))
+
+
+def test_offdiagonal_matches_pairwise_nystrom_sum():
+    # the dense reference: the Nystrom sum over every ordered pair of
+    # intervals, one pair at a time
+    s = 0.3
+    ns = (8, 0, 5, 3)
+    rules = [map_to_interval(gauss_jacobi(n, s), a, b) for n, (a, b) in zip(ns, FOUR_INTERVALS)]
+    rng = np.random.default_rng(4)
+    phi = [rng.standard_normal(len(rule)) for rule in rules]
+    want = [np.zeros(len(rule)) for rule in rules]
+    for j, target in enumerate(rules):
+        for ell, source in enumerate(rules):
+            if ell != j:
+                for i, x in enumerate(target.nodes):
+                    kernel = np.abs(x - source.nodes) ** (-1.0 - 2.0 * s)
+                    want[j][i] -= c1_constant(s) * np.sum(kernel * phi[ell] * source.weights)
+    got = apply_offdiagonal(phi, rules, s)
+    assert [g.size for g in got] == [w.size for w in want]
+    got, want = np.concatenate(got), np.concatenate(want)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_coupling_stores_each_pair_of_intervals_once():
+    # one block per interval against all later ones: no direction twice
+    ns = (8, 1, 5, 3)
+    disc = multi_interval._Discretization(Domain(FOUR_INTERVALS), 0.3, ns)
+    assert len(disc.kernels) == len(ns) - 1
+    pairs = sum((ns[j] + 1) * (ns[ell] + 1) for ell in range(len(ns)) for j in range(ell))
+    assert sum(kernel.size for kernel in disc.kernels) == pairs
+
+
+def test_rhs_sampled_once_at_every_node():
+    seen = []
+
+    def f(x):
+        seen.append(np.array(x))
+        return np.cos(x)
+
+    spec = ProblemSpec(0.4, Domain(FOUR_INTERVALS[:3]), f, n=(6, 9, 6))
+    solve(spec)
+    rules = [map_to_interval(gauss_jacobi(n, 0.4), a, b) for n, (a, b) in zip(spec.n, spec.domain.intervals)]
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], np.concatenate([rule.nodes for rule in rules]))
 
 
 def test_gmres_identity():
@@ -518,11 +565,13 @@ class DenseDiscretization(multi_interval._Discretization):
         super().__init__(domain, s, ns)
         self.dense = [DenseBlock(n, self.sv) for n in ns]
 
-    def kinv_coeffs(self, Y):
-        return [ref.coeffs(v) for ref, v in zip(self.dense, self.split(Y))]
+    def coeffs(self, Y):
+        blocks = np.split(Y, self.offsets[1:-1])
+        return np.concatenate([ref.coeffs(v) for ref, v in zip(self.dense, blocks)])
 
     def kinv(self, Y):
-        return np.concatenate([ref.values(c) for ref, c in zip(self.dense, self.kinv_coeffs(Y))])
+        blocks = np.split(self.coeffs(Y), self.offsets[1:-1])
+        return np.concatenate([ref.values(c) for ref, c in zip(self.dense, blocks)])
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 255, 256])

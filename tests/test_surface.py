@@ -5,6 +5,8 @@ an underscore must be referenced, as a whole word and outside its own
 definition, by the package itself (re-exports in __init__.py do not
 count), by the benchmark (perfbench/*.py), by an experiment script
 (scripts/*.py) or by the acceptance criteria (tests/test_acceptance.py).
+The same holds for each public method or property of such a class,
+referenced as an attribute (.name).
 A name only its unit tests use is a liability: delete it or give it a
 caller.  Conversely no module uses another module's underscore names:
 what two modules share is public.  And the discrete Gegenbauer transform
@@ -21,14 +23,25 @@ PACKAGE = ROOT / "src" / "fraclap"
 
 
 def public_definitions(path):
-    """(name, first line, last line) of each public top-level def/class;
-    the line span includes decorators and is 1-based, inclusive."""
+    """(name, first line, last line) of each public top-level def/class,
+    and of each public method or property of a public class as
+    Class.name; the line span includes decorators and is 1-based,
+    inclusive."""
     tree = ast.parse(path.read_text(), filename=str(path))
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     out = []
+
+    def add(name, node):
+        first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+        out.append((name, first, node.end_lineno))
+
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            out.append((node.name, first, node.end_lineno))
+        if isinstance(node, (*functions, ast.ClassDef)) and not node.name.startswith("_"):
+            add(node.name, node)
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, functions) and not member.name.startswith("_"):
+                        add(f"{node.name}.{member.name}", member)
     return out
 
 
@@ -41,7 +54,9 @@ def test_every_public_name_has_a_caller():
     unused = []
     for module in modules:
         for name, first, last in public_definitions(module):
-            word = re.compile(rf"\b{re.escape(name)}\b")
+            # a method or property is referenced as an attribute
+            prefix = r"\." if "." in name else r"\b"
+            word = re.compile(prefix + re.escape(name.rpartition(".")[2]) + r"\b")
             outside = [
                 lines[: first - 1] + lines[last:] if path == module else lines
                 for path, lines in texts.items()
