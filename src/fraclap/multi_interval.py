@@ -6,18 +6,18 @@ the coupling between intervals is the off-diagonal remainder R_s with
 the smooth kernel -C_1(s)|x-y|^{-1-2s} (|x-y| >= gap > 0 across
 distinct intervals).  The discrete system is the second-kind equation
 
-    (I + K^-1 R) Y = K^-1 F
+    (I + K^-1 R V) phi = K^-1 F
 
-over the concatenated node values Y of phi.  Once (domain, s, N) is
-fixed the discrete operator is a constant, and GMRES only applies it;
-iteration counts stay bounded as the resolution grows.  What depends on
-the domain is built per solve: the rules mapped onto the intervals and
-one kernel block per interval against all later intervals.  What
-depends on (N, s) alone, the reference block of K^-1, is the same for
-every interval and every domain; it comes from gegenbauer.gauss_basis,
-which holds the discrete transform pair and shares recurring blocks
-between solves.  K^-1 is applied to all intervals of one resolution at
-once, as one stack.
+over the concatenated coefficient vectors phi, with V their node
+values.  Once (domain, s, N) is fixed the discrete operator is a
+constant, and GMRES only applies it; iteration counts stay bounded as
+the resolution grows.  What depends on the domain is built per solve:
+the rules mapped onto the intervals and one kernel block per interval
+against all later intervals.  What depends on (N, s) alone, the
+reference block of the transform pair, is the same for every interval
+and every domain; it comes from gegenbauer.gauss_basis, which shares
+recurring blocks between solves and serves all intervals of one
+resolution at once, as one stack.
 """
 
 from __future__ import annotations
@@ -154,12 +154,13 @@ def gmres(apply_A, rhs, tol: float = 1e-13) -> GMRESResult:
     history = [1.0]
     for k in range(n):
         w = np.asarray(apply_A(basis[k]), dtype=float)
+        normw = np.linalg.norm(w)  # basis[k] is a unit vector, so this is the scale of column k
         h = np.zeros(k + 2)
         for i in range(k + 1):
             h[i] = np.dot(basis[i], w)
             w = w - h[i] * basis[i]
         h[k + 1] = np.linalg.norm(w)
-        breakdown = h[k + 1] <= 1e-15 * normb
+        breakdown = h[k + 1] <= 1e-15 * normw
         if not breakdown:
             basis.append(w / h[k + 1])
         # apply accumulated rotations to the new column, then a fresh one
@@ -195,11 +196,12 @@ class _Discretization:
 
     Node values, weights and coefficients are concatenated: interval j
     holds entries offsets[j]:offsets[j+1].  Intervals of equal resolution
-    share a reference block, taken from gauss_basis, and K^-1 is applied
-    to all of them at once as one stack, so each distinct resolution
-    costs two GEMMs each way however many intervals use it.  The
-    coupling holds one kernel block per interval against all later
-    intervals and applies its transpose for the other direction.
+    share a reference block, taken from gauss_basis, whose transform pair
+    is applied to all of them at once as one stack, so each distinct
+    resolution costs two GEMMs each way however many intervals use it.
+    coupling is K^-1 R V on coefficient vectors: node values, one kernel
+    block per interval against all later intervals (its transpose for the
+    other direction), and back to coefficients.
     """
 
     def __init__(self, domain: Domain, s, ns):
@@ -227,14 +229,17 @@ class _Discretization:
             out[rows] = ref.coeffs(Y[rows])
         return out
 
-    def kinv(self, Y):
-        out = np.empty(Y.size)
+    def values(self, C):
+        """Concatenated node values of the expansions C."""
+        out = np.empty(C.size)
         for ref, rows in self.groups:
-            out[rows] = ref.values(ref.coeffs(Y[rows]))
+            out[rows] = ref.values(C[rows])
         return out
 
-    def offdiag(self, Y):
-        return _apply_coupling(self.kernels, self.offsets, Y * self.weights, self.c1)
+    def coupling(self, C):
+        """Concatenated coefficient vectors of K^-1 R V C."""
+        weighted = self.values(C) * self.weights
+        return self.coeffs(_apply_coupling(self.kernels, self.offsets, weighted, self.c1))
 
     def solution_blocks(self, C):
         return tuple(
@@ -248,27 +253,27 @@ def solve(spec) -> MultiSolution:
 
     Assembles the discrete operator, samples the right-hand side in one
     call at all nodes (DomainError unless it gives one finite value per
-    node), and iterates GMRES on Y -> Y + K^-1 R Y.  With one interval
-    the remainder vanishes: the coefficients are K^-1 F, without GMRES.
+    node) and transforms it once to C = K^-1 F.  GMRES solves
+    x + K^-1 R V x = C, its residual (final_residual) relative in the
+    coefficients' l2 norm, which is phi's weighted L2 norm; phi is then
+    C - K^-1 R V x, one refinement step.  With one interval phi is C.
     """
     disc = _Discretization(spec.domain, spec.s, spec.n)
-    F = np.asarray(spec.rhs(disc.nodes), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports the fault
+        F = np.asarray(spec.rhs(disc.nodes), dtype=float)
     if F.shape != disc.nodes.shape:
         raise DomainError("the right-hand side does not give one value per quadrature node")
     if not np.all(np.isfinite(F)):
         raise DomainError("the right-hand side is not finite at every quadrature node")
 
+    C = disc.coeffs(F)
     if len(spec.domain) == 1:
-        return MultiSolution(disc.solution_blocks(disc.coeffs(F)), np.array([0.0]))
+        return MultiSolution(disc.solution_blocks(C), np.array([0.0]))
 
-    result = gmres(lambda Y: Y + disc.kinv(disc.offdiag(Y)), disc.kinv(F), tol=spec.gmres_tol)
+    result = gmres(lambda c: c + disc.coupling(c), C, tol=spec.gmres_tol)
     if not result.converged:
         raise RuntimeError(
             "GMRES did not reach the requested tolerance; residual history: "
             f"{result.history.tolist()}"
         )
-    # Final coefficients from the residual equation K phi = f - R Y,
-    # which keeps the spectral (coefficient-space) representation exact
-    # for the converged node values.
-    blocks = disc.solution_blocks(disc.coeffs(F - disc.offdiag(result.x)))
-    return MultiSolution(blocks, result.history)
+    return MultiSolution(disc.solution_blocks(C - disc.coupling(result.x)), result.history)

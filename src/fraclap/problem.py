@@ -50,8 +50,9 @@ def make_rhs(name: str, params: str = "") -> tuple[Callable, str]:
     """Build a named right-hand side; returns (callable, canonical label).
 
     Built-ins: constant[:c], runge (1/(x^2+0.01)), absx (|x|),
-    polynomial:c0,c1,... (monomial coefficients).  The domain-aware
-    gegenbauer-mode:k goes through resolve_rhs.
+    polynomial:c0,c1,... (monomial coefficients); a parameter on runge
+    or absx is a DomainError.  The domain-aware gegenbauer-mode:k goes
+    through resolve_rhs.
     """
     if name == "constant":
         c = float(params) if params else 1.0
@@ -60,6 +61,8 @@ def make_rhs(name: str, params: str = "") -> tuple[Callable, str]:
             return np.full_like(np.asarray(x, dtype=float), c)
 
         return f, f"constant:{c:g}"
+    if name in ("runge", "absx") and params:
+        raise DomainError(f"{name} rhs takes no parameters, got {name}:{params}")
     if name == "runge":
         return (lambda x: 1.0 / (np.asarray(x, dtype=float) ** 2 + 0.01)), "runge"
     if name == "absx":

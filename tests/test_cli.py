@@ -67,6 +67,19 @@ def test_solve_two_intervals(tmp_path):
     assert len(doc["intervals"]) == 2
 
 
+def test_solve_two_intervals_rhs_of_any_magnitude(tmp_path):
+    # GMRES once took a unit basis vector against |f| >= 1e10 for a breakdown
+    coeffs = {}
+    for c in ("1", "1e10", "1e100", "1e-100"):
+        argv = ["solve", "--interval", "-1.075", "-0.075", "--interval", "0.075", "1.075", "--n", "16"]
+        assert run([*argv, "--rhs", f"constant:{c}", "--out", str(tmp_path / c)]) == 0
+        doc = json.loads((tmp_path / f"{c}_solution.json").read_text())
+        coeffs[c] = np.concatenate([iv["phi_coeffs"] for iv in doc["intervals"]])
+    for c in ("1e10", "1e100", "1e-100"):
+        want = float(c) * coeffs["1"]
+        assert np.linalg.norm(coeffs[c] - want) <= 1e-14 * np.linalg.norm(want)
+
+
 def test_solve_gegenbauer_mode_rhs(tmp_path):
     # f = C~_3 on the interval is an eigenfunction: phi = e_3 / lambda_3
     out = str(tmp_path / "mode")
@@ -140,6 +153,22 @@ def assert_config_error(code, capsys):
 )
 def test_non_finite_rhs_exit_code(tmp_path, capsys, argv):
     code = run(["solve", *argv, "--n", "4", "--out", str(tmp_path / "x")])
+    assert_config_error(code, capsys)
+    assert not (tmp_path / "x_solution.json").exists()
+
+
+@pytest.mark.parametrize("rhs", ["runge:3", "absx:1"])
+def test_parameter_on_parameterless_rhs_exit_code(tmp_path, capsys, rhs):
+    code = run(["solve", "--rhs", rhs, "--n", "4", "--out", str(tmp_path / "x")])
+    assert_config_error(code, capsys)
+    assert not (tmp_path / "x_solution.json").exists()
+
+
+def test_overflowing_rhs_reports_one_line(tmp_path, capsys):
+    # the rhs overflows at the nodes: the finiteness check reports it,
+    # with no NumPy warning before it
+    argv = ["solve", "--rhs", "polynomial:1e308,1e308,1e308", "--interval", "0", "1e3", "--n", "8"]
+    code = run([*argv, "--out", str(tmp_path / "x")])
     assert_config_error(code, capsys)
     assert not (tmp_path / "x_solution.json").exists()
 

@@ -5,8 +5,8 @@ an underscore must be referenced, as a whole word and outside its own
 definition, by the package itself (re-exports in __init__.py do not
 count), by the benchmark (perfbench/*.py), by an experiment script
 (scripts/*.py) or by the acceptance criteria (tests/test_acceptance.py).
-The same holds for each public method or property of such a class,
-referenced as an attribute (.name).
+The same holds for each public method or property of any class, an
+underscore class included, referenced as an attribute (.name).
 A name only its unit tests use is a liability: delete it or give it a
 caller.  Conversely no module uses another module's underscore names:
 what two modules share is public.  And the discrete Gegenbauer transform
@@ -24,7 +24,7 @@ PACKAGE = ROOT / "src" / "fraclap"
 
 def public_definitions(path):
     """(name, first line, last line) of each public top-level def/class,
-    and of each public method or property of a public class as
+    and of each public method or property of any top-level class as
     Class.name; the line span includes decorators and is 1-based,
     inclusive."""
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -38,10 +38,10 @@ def public_definitions(path):
     for node in tree.body:
         if isinstance(node, (*functions, ast.ClassDef)) and not node.name.startswith("_"):
             add(node.name, node)
-            if isinstance(node, ast.ClassDef):
-                for member in node.body:
-                    if isinstance(member, functions) and not member.name.startswith("_"):
-                        add(f"{node.name}.{member.name}", member)
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, functions) and not member.name.startswith("_"):
+                    add(f"{node.name}.{member.name}", member)
     return out
 
 
