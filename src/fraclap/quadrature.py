@@ -22,9 +22,9 @@ mirror image gives the rest, exactly symmetric.
   roundoff; a rule that does not get there within a few passes raises
   instead of being returned.
 - Nodes: the points of the last pass, within 2 eps of the roots.  Given
-  a table rows, each pass also writes P_k / P_k(1), k = 0..n, at its
-  points, so after the last pass the table holds them at the nodes: the
-  solver's Gegenbauer table at no extra cost.
+  a table rows, that pass also writes P_k / P_k(1), k = 0..n, at them:
+  the solver's Gegenbauer table at no extra cost.  The first pass, from
+  the guesses, writes none unless the guesses are (all but) exact.
 - Weights: w_i ~ (1-x_i^2) / (P_{m-1} - x_i P_m)^2 at the roots, scaled
   to the total weight mass (a Beta-function identity).  The last pass's
   values and step give them at the exact root rather than at its
@@ -111,13 +111,14 @@ def jacobi_ratios(m: int, alpha: float, x: np.ndarray, rows=None):
     cancel, so callers take |x| and the parity of P_k.  Given rows, of
     shape (r, x.size) with r <= m + 1, it also writes P_k / P_k(1) at x
     into rows[k] for k < r; each degree's sum lands there directly, so
-    the table costs no extra ufunc call.
+    the table costs no extra ufunc call.  gauss_jacobi passes rows to
+    its last Newton pass only.
     """
     k = np.arange(1.0, m)
     t = 2.0 * k + 2.0 * alpha
     den = 2.0 * (k + alpha + 1.0) * (k + 2.0 * alpha + 1.0) * t
-    a = (t * (t + 1.0) * (t + 2.0) / den).tolist()
-    b = (2.0 * k * (k + alpha) * (t + 2.0) / den).tolist()
+    a = t * (t + 1.0) * (t + 2.0) / den
+    b = 2.0 * k * (k + alpha) * (t + 2.0) / den
     # each degree's row: those of rows, then one scratch row for the rest
     out = itertools.chain(() if rows is None else rows, itertools.repeat(np.empty_like(x)))
     p = next(out)
@@ -129,7 +130,9 @@ def jacobi_ratios(m: int, alpha: float, x: np.ndarray, rows=None):
     xm1 = x - 1.0
     d = xm1.copy()
     tmp = np.empty_like(x)
-    for ak, bk, row in zip(a, b, out):  # in place: five ufunc calls per degree
+    # in place, five ufunc calls per degree; a_k and b_k come as 0-d
+    # arrays, which a ufunc takes faster than Python floats
+    for (ak, bk), row in zip(np.nditer((a, b), flags=["zerosize_ok"]), out):
         np.multiply(xm1, p, out=tmp)
         tmp *= ak
         d *= bk
@@ -173,6 +176,7 @@ def gauss_jacobi(n: int, alpha: float, rows=None) -> QuadratureRule:
     (n+1, n//2+1), it also fills rows[k] with P_k / P_k(1), the Jacobi
     polynomial of exponents (alpha, alpha), at the rule's nonnegative
     nodes in increasing order; the rule itself does not depend on rows.
+    Only the last Newton pass writes rows; the first, from the guesses, none.
     """
     if n < 0:
         raise DomainError(f"rule index must be >= 0, got {n}")
@@ -191,8 +195,12 @@ def gauss_jacobi(n: int, alpha: float, rows=None) -> QuadratureRule:
     if odd:
         x[0] = 0.0
 
+    # Only the last pass need write rows.  The guesses are exact at alpha = +-1/2 and near
+    # it the first step is over 0.01 |1/4 - alpha^2| / rho^2, so outside this band the
+    # first pass is not the last; every later pass writes (for alpha in (0, 1) the second is last).
+    last = abs(0.25 - alpha * alpha) <= 1e-12 * rho * rho
     for _ in range(_NEWTON_PASSES):
-        p, prev = jacobi_ratios(m, alpha, x, rows)
+        p, prev = jacobi_ratios(m, alpha, x, rows if last else None)
         # (1-x^2) P'_m = m (P_{m-1} - x P_m); 1-x^2 as (1-x)(1+x) keeps
         # its digits near the endpoint
         g = prev - x * p
@@ -203,10 +211,13 @@ def gauss_jacobi(n: int, alpha: float, rows=None) -> QuadratureRule:
         if np.max(np.abs(step)) <= 2.0 * np.finfo(float).eps:
             break
         x = x - step
+        last = True
     else:
         raise RuntimeError(
             f"Gauss-Jacobi Newton iteration did not converge for n={n}, alpha={alpha}"
         )
+    if rows is not None and not last:  # n = 0: the first pass was the last
+        jacobi_ratios(m, alpha, x, rows)
 
     # The nodes are this last pass's points, where rows was filled; they
     # are within 2 eps of the root r = x - step.  The weights

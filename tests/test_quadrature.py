@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import beta as sp_beta
+from scipy.special import eval_gegenbauer as sp_eval_gegenbauer
 from scipy.special import eval_jacobi
 
 from fraclap import quadrature
+from fraclap.gegenbauer import eval_gegenbauer
 from fraclap.quadrature import (
     QuadratureRule,
     gauss_jacobi,
@@ -167,20 +169,39 @@ def test_rule_builds_no_square_array():
 @pytest.mark.parametrize("n", [8, 1024, 2048])
 def test_rule_takes_two_recurrence_passes(monkeypatch, n):
     # the fourth-order first step leaves the second pass's step at
-    # roundoff; the asymptotic guesses are exact for alpha = 1/2
+    # roundoff, and only that last pass writes the table; the asymptotic
+    # guesses are exact for alpha = 1/2, so its one pass writes it
     passes = []
     pair = quadrature.jacobi_ratios
 
-    def counting(*args, **kwargs):
-        passes.append(args[1])
-        return pair(*args, **kwargs)
+    def recording(m, alpha, x, rows=None):
+        passes.append(rows is not None)
+        return pair(m, alpha, x, rows)
 
-    monkeypatch.setattr(quadrature, "jacobi_ratios", counting)
-    for alpha in (0.01, 0.25, 0.75, 0.99):
-        gauss_jacobi(n, alpha)
-        assert 1 <= passes.count(alpha) <= 2, alpha
-    gauss_jacobi(n, 0.5)
-    assert passes.count(0.5) == 1
+    monkeypatch.setattr(quadrature, "jacobi_ratios", recording)
+    for alpha in (0.01, 0.25, 0.75, 0.99, 0.5):
+        passes.clear()
+        gauss_jacobi(n, alpha, rows=np.empty((n + 1, n // 2 + 1)))
+        assert passes == ([True] if alpha == 0.5 else [False, True]), alpha
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.6, 0.75])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 128, 2048])
+def test_table_is_written_at_the_returned_nodes(n, s):
+    rows = np.full((n + 1, n // 2 + 1), np.nan)
+    r = gauss_jacobi(n, s, rows=rows)
+    plain = gauss_jacobi(n, s)
+    assert r.nodes.tobytes() == plain.nodes.tobytes()
+    assert r.weights.tobytes() == plain.weights.tobytes()
+    again = np.full_like(rows, np.nan)
+    quadrature.jacobi_ratios(n + 1, s, r.nodes[(n + 1) // 2:], again)
+    assert rows.tobytes() == again.tobytes()
+    # degrees 0, 1 and 2 run the recurrence's early return, empty loop and one step
+    x = np.linspace(-1.0, 1.0, 9)
+    for k in (0, 1, 2):
+        np.testing.assert_allclose(
+            eval_gegenbauer(k, s + 0.5, x), sp_eval_gegenbauer(k, s + 0.5, x), rtol=1e-15, atol=1e-15
+        )
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 40])
