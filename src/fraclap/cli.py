@@ -8,8 +8,9 @@ Subcommands:
 solve and convergence read an INI-style file (--config) and/or flags;
 flags win over the file, the file wins over defaults.  eigencheck reads
 only --s, --n and --out.  Exit codes:
-0 success, 1 solver/check failure, 2 configuration error (an --out
-prefix that cannot be written included; no directory is created).
+0 success, 1 solver/check failure (a refused allocation included),
+2 configuration error (an --out prefix that cannot be written
+included; no directory is created).
 """
 
 from __future__ import annotations
@@ -240,25 +241,19 @@ def cmd_convergence(spec: ProblemSpec, n_list, ref_n, out_prefix: str) -> int:
     ref_scale = max(
         np.sqrt(sum(sobolev_metrics.hrs_norm(b, 0.0) ** 2 for b in ref.blocks)), 1e-300
     )
+
+    def rel_error(sol, r):
+        """The solution's error in the H^r_s norm, relative to the reference."""
+        total = sum(sobolev_metrics.error_between(b, rb, r) ** 2 for b, rb in zip(sol.blocks, ref.blocks))
+        return float(np.sqrt(total) / ref_scale)
+
     rows = []
     for n, spec_n in zip(n_list, specs):
         t0 = time.perf_counter()
         sol = multi_interval.solve(spec_n)
         elapsed = time.perf_counter() - t0
-        e_l2 = np.sqrt(
-            sum(
-                sobolev_metrics.error_between(b, rb, 0.0) ** 2
-                for b, rb in zip(sol.blocks, ref.blocks)
-            )
-        )
-        e_h = np.sqrt(
-            sum(
-                sobolev_metrics.error_between(b, rb, 2.0 * spec.s) ** 2
-                for b, rb in zip(sol.blocks, ref.blocks)
-            )
-        )
-        rows.append((n, float(e_l2 / ref_scale), float(e_h / ref_scale), elapsed))
-    _, errs_l2, errs_h2s, _ = zip(*rows)
+        rows.append((n, rel_error(sol, 0.0), rel_error(sol, 2.0 * spec.s), elapsed, sol.gmres_iterations))
+    _, errs_l2, errs_h2s, _, _ = zip(*rows)
     order_l2 = order_h2s = None
     try:
         order_l2 = sobolev_metrics.fit_order(n_list, errs_l2)
@@ -267,9 +262,9 @@ def cmd_convergence(spec: ProblemSpec, n_list, ref_n, out_prefix: str) -> int:
         pass
     super_algebraic = sobolev_metrics.is_super_algebraic(n_list, errs_l2)
     with open(out_prefix + "_convergence.csv", "w") as fh:
-        fh.write("N,err_L2s,err_H2ss,seconds\n")
-        for n, e1, e2, sec in rows:
-            fh.write(f"{n},{_fmt(e1)},{_fmt(e2)},{_fmt(sec)}\n")
+        fh.write("N,err_L2s,err_H2ss,seconds,gmres_iterations\n")
+        for n, e1, e2, sec, iters in rows:
+            fh.write(f"{n},{_fmt(e1)},{_fmt(e2)},{_fmt(sec)},{iters}\n")
     with open(out_prefix + "_orders.json", "w") as fh:
         json.dump(
             {
@@ -281,8 +276,8 @@ def cmd_convergence(spec: ProblemSpec, n_list, ref_n, out_prefix: str) -> int:
             fh,
             indent=1,
         )
-    for n, e1, e2, sec in rows:
-        print(f"N={n:4d}  err_L2s={e1:.4e}  err_H2ss={e2:.4e}  {sec:.4f} s")
+    for n, e1, e2, sec, iters in rows:
+        print(f"N={n:4d}  err_L2s={e1:.4e}  err_H2ss={e2:.4e}  {sec:.4f} s  GMRES iters={iters}")
     print(
         f"fitted orders: L2s {order_l2}, H2ss {order_h2s}, "
         f"super-algebraic: {super_algebraic}"
@@ -356,6 +351,9 @@ def main(argv=None) -> int:
         return 2
     except RuntimeError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # an array larger than the machine grants
+        print(f"solver failure: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

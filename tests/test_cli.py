@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import fraclap
 from fraclap import Domain, ProblemSpec, resolve_rhs, solve
 from fraclap.cli import main
 from fraclap.gegenbauer import GegenbauerCoeffs, eval_gegenbauer, evaluate_expansion
+from fraclap.sobolev_metrics import error_between
 from fraclap.specfun import eigenvalue_lambda, gegenbauer_norm_h
 
 
@@ -241,6 +243,23 @@ def test_solver_failure_exit_code(tmp_path, capsys):
     assert not (tmp_path / "x_solution.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # sizes above 1 PiB: refused at once on any 64-bit host, no memory touched
+        ["solve", "--n", "1000000000"],  # a 3.47 EiB table
+        ["convergence", "--n", "8,16,32", "--ref-n", "1000000000"],
+        ["eigencheck", "--n", "1000000000000000"],  # a 7.11 PiB spectrum
+    ],
+)
+def test_refused_allocation_exit_code(tmp_path, capsys, argv):
+    code = run([*argv, "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure:") and len(err.strip().splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_consecutive_calls_parse_independently(monkeypatch):
     # main() reuses one parser: no flag of one call leaks into the next
     seen = []
@@ -313,8 +332,9 @@ def test_convergence_command(tmp_path):
     )
     assert code == 0
     lines = (tmp_path / "conv_convergence.csv").read_text().splitlines()
-    assert lines[0] == "N,err_L2s,err_H2ss,seconds"
+    assert lines[0] == "N,err_L2s,err_H2ss,seconds,gmres_iterations"
     assert len(lines) == 5
+    assert [row.split(",")[4] for row in lines[1:]] == ["0"] * 4  # one interval: no GMRES
     errs = [float(row.split(",")[1]) for row in lines[1:]]
     assert errs == sorted(errs, reverse=True)
     # 16 significant digits in scientific notation
@@ -322,6 +342,31 @@ def test_convergence_command(tmp_path):
     sidecar = json.loads((tmp_path / "conv_orders.json").read_text())
     assert sidecar["reference_n"] == 128
     assert sidecar["order_l2"] > 2.0
+
+
+def test_convergence_tabulates_gmres_iterations(tmp_path, capsys):
+    # the paper's two-interval experiment: the error decays in N while
+    # the GMRES count of each row is the solver's own
+    two = ["--interval", "-1.075", "-0.075", "--interval", "0.075", "1.075"]
+    argv = ["convergence", "--s", "0.5", *two, "--rhs", "constant:1", "--n", "8,12,16", "--ref-n", "32"]
+    assert run([*argv, "--out", str(tmp_path / "two")]) == 0
+    lines = (tmp_path / "two_convergence.csv").read_text().splitlines()
+    assert lines[0] == "N,err_L2s,err_H2ss,seconds,gmres_iterations"
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("N=")]
+
+    domain = Domain(((-1.075, -0.075), (0.075, 1.075)))
+    rhs, label = resolve_rhs("constant:1", 0.5, domain)
+    spec = ProblemSpec(0.5, domain, rhs, 32, rhs_label=label)
+    ref = solve(spec)
+    ref_norm = np.sqrt(sum(float(np.sum(b.coeffs**2)) for b in ref.blocks))
+    assert [int(row.split(",")[0]) for row in lines[1:]] == [8, 12, 16]
+    for row, shown in zip(lines[1:], printed, strict=True):
+        n, err_l2, _, _, iters = row.split(",")
+        sol = solve(replace(spec, n=int(n)))
+        assert int(iters) == sol.gmres_iterations > 0
+        assert shown.endswith(f"GMRES iters={iters}")
+        err = np.sqrt(sum(error_between(b, rb, 0.0) ** 2 for b, rb in zip(sol.blocks, ref.blocks))) / ref_norm
+        assert float(err_l2) == pytest.approx(err, rel=1e-15)
 
 
 def test_convergence_super_algebraic_for_smooth_rhs(tmp_path):

@@ -3,8 +3,8 @@
 A top-level def or class in src/fraclap/*.py whose name starts without
 an underscore must be referenced, as a whole word and outside its own
 definition, by the package itself (re-exports in __init__.py do not
-count), by the benchmark (perfbench/*.py), by an experiment script
-(scripts/*.py) or by the acceptance criteria (tests/test_acceptance.py).
+count), by the benchmark (perfbench/*.py) or by the acceptance
+criteria (tests/test_acceptance.py).
 The same holds for each public method or property of any class, an
 underscore class included, referenced as an attribute (.name).
 A name only its unit tests use is a liability: delete it or give it a
@@ -47,7 +47,7 @@ def public_definitions(path):
 
 def test_every_public_name_has_a_caller():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    callers = sorted(ROOT.glob("perfbench/*.py")) + sorted(ROOT.glob("scripts/*.py"))
+    callers = sorted(ROOT.glob("perfbench/*.py"))
     callers.append(ROOT / "tests" / "test_acceptance.py")
     texts = {p: p.read_text().splitlines() for p in modules + callers}
 
