@@ -1,5 +1,7 @@
 """Gegenbauer spectral solver for the Dirichlet problem of the 1D
-fractional Laplacian on finite unions of disjoint intervals.
+fractional Laplacian on finite unions of disjoint intervals.  It
+re-exports what posing, solving and evaluating a problem take; every
+other building block is imported from its module.
 
 The package logs to the "fraclap" logger, which is silent unless the
 caller configures it (for example logging.basicConfig(level=logging.DEBUG)).
@@ -7,34 +9,11 @@ caller configures it (for example logging.basicConfig(level=logging.DEBUG)).
 
 import logging
 
-from .gegenbauer import (
-    GegenbauerCoeffs,
-    eval_gegenbauer,
-    evaluate_expansion,
-    forward_transform,
-)
-from .multi_interval import Domain, MultiSolution, apply_offdiagonal, gmres, solve
-from .operator_core import (
-    Polynomial,
-    apply_diagonal,
-    ln_polynomial,
-    solve_diagonal,
-    ts_weighted_monomial_image,
-)
-from .oracle import PVConfig, pv_apply, pv_exterior
+from .gegenbauer import GegenbauerCoeffs, eval_gegenbauer, evaluate_expansion
+from .multi_interval import Domain, solve
 from .problem import ProblemSpec, make_rhs, resolve_rhs
-from .quadrature import QuadratureRule, gauss_jacobi, map_to_interval
-from .sobolev_metrics import (
-    error_between,
-    fit_order,
-    hrs_norm,
-)
-from .specfun import (
-    DomainError,
-    eigenvalue_lambda,
-    gegenbauer_norm_h,
-    pochhammer,
-)
+from .quadrature import gauss_jacobi
+from .specfun import DomainError, eigenvalue_lambda, gegenbauer_norm_h
 
 __version__ = "0.1.0"
 

@@ -29,7 +29,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import multi_interval, sobolev_metrics
-from .gegenbauer import eval_gegenbauer, evaluate_expansion
+from .gegenbauer import GegenbauerCoeffs, eval_gegenbauer, evaluate_expansion
 from .multi_interval import Domain
 from .operator_core import monomial_operator_matrix
 from .oracle import PVConfig, pv_apply, weighted_mode
@@ -99,8 +99,9 @@ def _load_config(path):
     cfg = configparser.ConfigParser()
     try:
         read = cfg.read(path)
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config file {path!r}: {exc}") from exc
+    except configparser.Error as exc:  # its message quotes the offending lines, one per line
+        message = " ".join(line.strip() for line in str(exc).splitlines())
+        raise ConfigError(f"cannot parse config file {path!r}: {message}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     try:
@@ -208,17 +209,22 @@ def cmd_solve(spec: ProblemSpec, out_prefix: str) -> int:
     t0 = time.perf_counter()
     sol = multi_interval.solve(spec)
     elapsed = time.perf_counter() - t0
+    curves = []
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports the fault
+        for (a, b), block in zip(spec.domain.intervals, sol.blocks):
+            x = np.linspace(a, b, 1000)
+            phi = evaluate_expansion(block, x)
+            curves.append(np.column_stack([x, (x - a) ** spec.s * (b - x) ** spec.s * phi, phi]))
+    if not all(np.all(np.isfinite(curve)) for curve in curves):
+        raise RuntimeError("the sampled solution overflows")
 
     with open(out_prefix + "_solution.json", "w") as fh:
         json.dump(_solution_json(spec, sol), fh, indent=1)
     row = ",".join([_CSV_FLOAT] * 3) + "\n"
     with open(out_prefix + "_curve.csv", "w") as fh:
         fh.write("x,u,phi\n")
-        for (a, b), block in zip(spec.domain.intervals, sol.blocks):
-            x = np.linspace(a, b, 1000)
-            phi = evaluate_expansion(block, x)
-            u = (x - a) ** spec.s * (b - x) ** spec.s * phi
-            fh.write((row * x.size) % tuple(np.column_stack([x, u, phi]).ravel().tolist()))
+        for curve in curves:
+            fh.write((row * len(curve)) % tuple(curve.ravel().tolist()))
     print(
         f"solved: {sol.gmres_iterations} GMRES iterations, "
         f"residual {sol.final_residual:.3e}, {elapsed:.4f} s"
@@ -238,13 +244,20 @@ def cmd_convergence(spec: ProblemSpec, n_list, ref_n, out_prefix: str) -> int:
     _check_out(out_prefix, "_convergence.csv")
     specs = [replace(spec, n=n) for n in n_list]
     ref = multi_interval.solve(replace(spec, n=ref_n))
-    ref_scale = max(
-        np.sqrt(sum(sobolev_metrics.hrs_norm(b, 0.0) ** 2 for b in ref.blocks)), 1e-300
-    )
+    # Relative errors do not depend on scale, so every norm is taken in
+    # units of 2^e, 2^(e-1) <= the reference's largest |coefficient| < 2^e:
+    # exact, and no sum of squares over- or underflows.
+    e = int(np.frexp(max(np.max(np.abs(b.coeffs)) for b in ref.blocks))[1])
 
-    def rel_error(sol, r):
-        """The solution's error in the H^r_s norm, relative to the reference."""
-        total = sum(sobolev_metrics.error_between(b, rb, r) ** 2 for b, rb in zip(sol.blocks, ref.blocks))
+    def in_units(blocks):
+        return [GegenbauerCoeffs(b.s, b.interval, np.ldexp(b.coeffs, -e)) for b in blocks]
+
+    ref_blocks = in_units(ref.blocks)
+    ref_scale = max(np.sqrt(sum(sobolev_metrics.hrs_norm(b, 0.0) ** 2 for b in ref_blocks)), 1e-300)
+
+    def rel_error(blocks, r):
+        """The error of blocks (in units) in the H^r_s norm, relative to the reference."""
+        total = sum(sobolev_metrics.error_between(b, rb, r) ** 2 for b, rb in zip(blocks, ref_blocks))
         return float(np.sqrt(total) / ref_scale)
 
     rows = []
@@ -252,7 +265,8 @@ def cmd_convergence(spec: ProblemSpec, n_list, ref_n, out_prefix: str) -> int:
         t0 = time.perf_counter()
         sol = multi_interval.solve(spec_n)
         elapsed = time.perf_counter() - t0
-        rows.append((n, rel_error(sol, 0.0), rel_error(sol, 2.0 * spec.s), elapsed, sol.gmres_iterations))
+        blocks = in_units(sol.blocks)
+        rows.append((n, rel_error(blocks, 0.0), rel_error(blocks, 2.0 * spec.s), elapsed, sol.gmres_iterations))
     _, errs_l2, errs_h2s, _, _ = zip(*rows)
     order_l2 = order_h2s = None
     try:

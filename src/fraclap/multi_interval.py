@@ -138,13 +138,18 @@ def gmres(apply_A, rhs, tol: float = 1e-13) -> GMRESResult:
     per unknown.  The history holds the relative residual after each
     iteration (starting at 1); happy breakdown counts as convergence.
     The Hessenberg matrix grows by one column per iteration, so storage
-    follows the iterations taken, not the unknown count.
+    follows the iterations taken, not the unknown count.  b is divided
+    by the power of two 2^e with 2^(e-1) <= max|b| < 2^e and x multiplied
+    back by it, both exactly, so no norm over- or underflows at any scale
+    of b.
     """
     b = np.asarray(rhs, dtype=float)
     n = b.size
-    normb = float(np.linalg.norm(b))
-    if normb == 0.0:
+    if not np.any(b):
         return GMRESResult(np.zeros(n), 0, np.array([0.0]), True)
+    e = int(np.frexp(np.max(np.abs(b)))[1])
+    b = np.ldexp(b, -e)
+    normb = float(np.linalg.norm(b))
 
     basis = [b / normb]
     columns = []  # column k of the rotated Hessenberg matrix, length k+2
@@ -188,6 +193,8 @@ def gmres(apply_A, rhs, tol: float = 1e-13) -> GMRESResult:
     x = np.zeros(n)
     for i in range(k_done):
         x += y[i] * basis[i]
+    with np.errstate(over="ignore"):  # an x past the largest double is inf
+        x = np.ldexp(x, e)
     return GMRESResult(x, k_done, np.array(history), history[-1] <= tol)
 
 
@@ -253,10 +260,11 @@ def solve(spec) -> MultiSolution:
 
     Assembles the discrete operator, samples the right-hand side in one
     call at all nodes (DomainError unless it gives one finite value per
-    node) and transforms it once to C = K^-1 F.  GMRES solves
-    x + K^-1 R V x = C, its residual (final_residual) relative in the
-    coefficients' l2 norm, which is phi's weighted L2 norm; phi is then
-    C - K^-1 R V x, one refinement step.  With one interval phi is C.
+    node) and transforms it once to C = K^-1 F (DomainError unless C is
+    finite).  GMRES solves x + K^-1 R V x = C, its residual
+    (final_residual) relative in the coefficients' l2 norm, which is
+    phi's weighted L2 norm; phi is then C - K^-1 R V x, one refinement
+    step (RuntimeError unless it is finite).  With one interval phi is C.
     """
     disc = _Discretization(spec.domain, spec.s, spec.n)
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports the fault
@@ -266,7 +274,10 @@ def solve(spec) -> MultiSolution:
     if not np.all(np.isfinite(F)):
         raise DomainError("the right-hand side is not finite at every quadrature node")
 
-    C = disc.coeffs(F)
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = disc.coeffs(F)
+    if not np.all(np.isfinite(C)):
+        raise DomainError("the right-hand side's Gegenbauer coefficients overflow")
     if len(spec.domain) == 1:
         return MultiSolution(disc.solution_blocks(C), np.array([0.0]))
 
@@ -276,4 +287,8 @@ def solve(spec) -> MultiSolution:
             "GMRES did not reach the requested tolerance; residual history: "
             f"{result.history.tolist()}"
         )
-    return MultiSolution(disc.solution_blocks(C - disc.coupling(result.x)), result.history)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = C - disc.coupling(result.x)
+    if not np.all(np.isfinite(phi)):
+        raise RuntimeError("the solution's Gegenbauer coefficients overflow")
+    return MultiSolution(disc.solution_blocks(phi), result.history)

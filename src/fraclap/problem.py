@@ -1,6 +1,6 @@
 """Problem configuration: domain + exponent + right-hand side + solver
 knobs, plus the registry of named built-in right-hand sides used by the
-command-line driver and the experiment scripts.
+command-line driver.
 """
 
 from __future__ import annotations

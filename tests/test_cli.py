@@ -151,6 +151,8 @@ def assert_config_error(code, capsys):
         ["--rhs", "constant:nan"],
         ["--rhs", "polynomial:1,nan"],
         ["--rhs", "constant:inf", "--interval", "-1", "-0.1", "--interval", "0.1", "1"],
+        # finite at the nodes, but its weighted sum (about 1.89e308) is not
+        ["--s", "0.1", "--rhs", "constant:1e308"],
     ],
 )
 def test_non_finite_rhs_exit_code(tmp_path, capsys, argv):
@@ -164,6 +166,39 @@ def test_parameter_on_parameterless_rhs_exit_code(tmp_path, capsys, rhs):
     code = run(["solve", "--rhs", rhs, "--n", "4", "--out", str(tmp_path / "x")])
     assert_config_error(code, capsys)
     assert not (tmp_path / "x_solution.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--rhs", "polynomial"],  # no coefficients
+        ["--rhs", "gegenbauer-mode"],  # no index
+        ["--rhs", "gegenbauer-mode:-1"],
+        ["--gmres-tol", "0"],
+        ["--gmres-tol", "nan"],
+    ],
+)
+def test_missing_or_out_of_range_value_exit_code(tmp_path, capsys, argv):
+    code = run(["solve", *argv, "--n", "4", "--out", str(tmp_path / "x")])
+    assert_config_error(code, capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # C = K^-1 F is finite, the coupled solution's coefficients are not
+        (["--interval", "0", "1", "--interval", "1.01", "2", "--rhs", "constant:1e308"], "Gegenbauer coefficients"),
+        # the coefficients are finite, u = omega^s phi on a long interval is not
+        (["--interval", "0", "1e3", "--rhs", "constant:1e306"], "sampled solution"),
+    ],
+)
+def test_overflowing_solution_exit_code(tmp_path, capsys, argv, message):
+    code = run(["solve", "--s", "0.5", *argv, "--n", "16", "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure:") and message in err and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_overflowing_rhs_reports_one_line(tmp_path, capsys):
@@ -391,6 +426,36 @@ def test_convergence_too_few_rows_cannot_tell(tmp_path):
     assert json.loads((tmp_path / "conv_orders.json").read_text())["super_algebraic"] is None
 
 
+def test_convergence_default_reference_resolution(tmp_path):
+    # without --ref-n the reference takes max(2N, N + 16) of the largest N
+    assert run(["convergence", "--n", "8,16,32", "--out", str(tmp_path / "c")]) == 0
+    assert json.loads((tmp_path / "c_orders.json").read_text())["reference_n"] == 64
+
+
+def test_convergence_zero_rhs_fits_no_order(tmp_path):
+    # every error is 0: no order can be fitted and the sweep cannot tell
+    assert run(["convergence", "--rhs", "constant:0", "--n", "8,16,32", "--out", str(tmp_path / "c")]) == 0
+    orders = json.loads((tmp_path / "c_orders.json").read_text())
+    assert (orders["order_l2"], orders["order_h2s"], orders["super_algebraic"]) == (None, None, None)
+
+
+def test_convergence_independent_of_rhs_scale(tmp_path):
+    # relative errors do not depend on the scale of f; at f = 2^1000 the
+    # sums of squares once overflowed, every error read nan and
+    # _orders.json held NaN, which is not JSON
+    def sweep(rhs, out):
+        argv = ["convergence", "--rhs", rhs, "--n", "8,16,32,64", "--out", str(tmp_path / out)]
+        assert run(argv) == 0
+        columns = [row.split(",")[:3] for row in (tmp_path / f"{out}_convergence.csv").read_text().splitlines()]
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        return columns, json.loads((tmp_path / f"{out}_orders.json").read_text(), parse_constant=reject)
+
+    assert sweep(f"constant:{2.0**1000!r}", "big") == sweep("constant:1", "one")
+
+
 def test_convergence_bad_n_list(tmp_path):
     code = run(
         ["convergence", "--interval", "-1", "1", "--n", "32,16", "--out", str(tmp_path / "c")]
@@ -494,8 +559,20 @@ def test_config_interval_without_endpoint_exit_code(tmp_path, capsys):
         ("[problem]\ns = 0.3\n\n[intervall]\na = -1\nb = 1\n", "[intervall]"),
         ("[problem]\ns = 0.3\n\n[interval_x]\na = -1\nb = 1\n", "[interval_x]"),
         ("[problem]\ns = 0.3\n\n[interval.1]\na = -1\nb = 1\nwidth = 2\n", "'width' in [interval.1]"),
+        ("[DEFAULT]\ns = 0.3\n", "[DEFAULT]"),
+        ("s = 0.3\n", "no section headers"),
+        ("[problem]\ns = 0.3\njunk line\n", "'junk line"),
     ],
-    ids=["problem-dashed-key", "problem-unknown-key", "misspelt-section", "interval-underscore", "interval-unknown-key"],
+    ids=[
+        "problem-dashed-key",
+        "problem-unknown-key",
+        "misspelt-section",
+        "interval-underscore",
+        "interval-unknown-key",
+        "default-section",
+        "no-section-header",
+        "unparsable-line",
+    ],
 )
 @pytest.mark.parametrize("command", ["solve", "convergence"])
 def test_config_unknown_name_exits_2(tmp_path, capsys, command, text, name):
@@ -507,6 +584,14 @@ def test_config_unknown_name_exits_2(tmp_path, capsys, command, text, name):
     err = capsys.readouterr().err
     assert err.startswith("config error") and name in err and len(err.strip().splitlines()) == 1
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("command", ["solve", "convergence"])
+def test_unreadable_config_exit_code(tmp_path, capsys, command):
+    cfg = tmp_path / "missing.ini"
+    code = run([command, "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert_config_error(code, capsys)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_bad_interpolation_exit_code(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import collections
 import logging
+import math
 import os
 import re
 import sys
@@ -200,18 +201,23 @@ def test_gmres_happy_breakdown():
     np.testing.assert_allclose(res.x, [0.5, 0.0, 0.0], atol=1e-14)
 
 
-@pytest.mark.parametrize("scale", [1e-100, 1e100])
+@pytest.mark.parametrize("scale", [1e-100, 1e100, 2.0**-560, 2.0**560])
 def test_gmres_scale_invariant(scale):
     # breakdown is judged against the column A v, not against |b|: at
-    # 1e100 a unit basis vector once looked like a breakdown
+    # 1e100 a unit basis vector once looked like a breakdown.  At 2^-560
+    # and 2^560 the square of |b| leaves the doubles, so a norm taken at
+    # b's own scale reads 0 or inf; b is taken to a power-of-two unit
+    # first, which is exact
     rng = np.random.default_rng(5)
     A = np.eye(20) + 0.3 * rng.standard_normal((20, 20))
     b = rng.standard_normal(20)
     base = gmres(lambda v: A @ v, b)
     res = gmres(lambda v: A @ v, scale * b)
     assert res.converged and res.iterations == base.iterations
-    want = scale * base.x
-    assert np.linalg.norm(res.x - want) <= 1e-14 * np.linalg.norm(want)
+    assert np.linalg.norm(res.x / scale - base.x) <= 1e-14 * np.linalg.norm(base.x)
+    if math.log2(scale).is_integer():
+        assert np.array_equal(res.x, scale * base.x)
+        assert np.array_equal(res.history, base.history)
 
 
 def test_gmres_storage_follows_iterations():
@@ -231,6 +237,19 @@ def test_gmres_storage_follows_iterations():
 def make_spec(domain, s, rhs_name, n, tol=1e-13):
     rhs, label = resolve_rhs(rhs_name, s, domain)
     return ProblemSpec(s, domain, rhs, n, gmres_tol=tol, rhs_label=label)
+
+
+@pytest.mark.parametrize("k", [-560, 560])
+def test_solve_exact_under_power_of_two_scaling_of_rhs(k):
+    # f = 2^k once read as f = 0 (|b|^2 underflowed: no GMRES, no
+    # coupling) or ended in a singular least-squares system (it overflowed)
+    domain = Domain(((0.0, 1.0), (1.5, 2.5)))
+    base = solve(make_spec(domain, 0.5, "constant:1", 16))
+    sol = solve(make_spec(domain, 0.5, f"constant:{2.0**k!r}", 16))
+    assert base.gmres_iterations > 0
+    for block, ref in zip(sol.blocks, base.blocks, strict=True):
+        assert np.array_equal(block.coeffs, 2.0**k * ref.coeffs)
+    assert np.array_equal(sol.residual_history, base.residual_history)
 
 
 def test_single_interval_matches_diagonal_path():

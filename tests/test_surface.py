@@ -12,6 +12,10 @@ caller.  Conversely no module uses another module's underscore names:
 what two modules share is public.  And the discrete Gegenbauer transform
 has one home: only quadrature.py and gegenbauer.py run the rules'
 recurrence or ask a rule for its table.
+The package itself re-exports only what callers take from it: each
+name that __init__.py imports is imported from fraclap, or used as
+fraclap.<name>, by the benchmark or by a python example in README.md.
+Building blocks are imported from their modules.
 """
 
 import ast
@@ -64,6 +68,27 @@ def test_every_public_name_has_a_caller():
             if not any(word.search(line) for lines in outside for line in lines):
                 unused.append(f"{module.stem}.{name}")
     assert unused == [], f"public names without a caller outside their own tests: {unused}"
+
+
+def names_taken_from_the_package(source):
+    """Names a Python source imports from fraclap or reads as fraclap.<name>."""
+    taken = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "fraclap":
+            taken.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "fraclap":
+            taken.add(node.attr)
+    return taken
+
+
+def test_every_reexport_is_imported_from_the_package():
+    # a re-export no caller takes from the package is a second entry point
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in init.body if isinstance(node, ast.ImportFrom) for alias in node.names}
+    sources = [p.read_text() for p in sorted(ROOT.glob("perfbench/*.py"))]
+    sources += re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    taken = set().union(*map(names_taken_from_the_package, sources))
+    assert sorted(exported - taken) == [], "re-exports no caller imports from fraclap"
 
 
 def test_no_module_reaches_into_another_modules_private_names():
