@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import QuadratureRule, gauss_jacobi, jacobi_ratios, map_to_interval
-from .specfun import DomainError, s_value, spectrum
+from .specfun import DomainError, check_addressable, s_value, spectrum
 
 _log = logging.getLogger(__name__)
 
@@ -210,8 +210,14 @@ _MEMO = _BlockMemo()
 
 def gauss_basis(n: int, s) -> _ReferenceBlock:
     """The reference block of gauss_jacobi(n, s): the discrete transform
-    pair at its nodes, shared read-only once the key (n, s) recurs."""
-    return _MEMO.get(n, s_value(s))
+    pair at its nodes, shared read-only once the key (n, s) recurs.
+
+    DomainError, before anything is allocated, when the block's table of
+    (n+1)(n//2+1) doubles is larger than this platform can address.
+    """
+    sv = s_value(s)
+    check_addressable((n + 1) * (n // 2 + 1), f"resolution N = {n}")
+    return _MEMO.get(n, sv)
 
 
 def forward_transform(values, rule: QuadratureRule, s) -> GegenbauerCoeffs:

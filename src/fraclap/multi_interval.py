@@ -28,9 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gegenbauer import GegenbauerCoeffs, gauss_basis
-from .operator_core import c1_constant
 from .quadrature import map_to_interval
-from .specfun import DomainError, s_value
+from .specfun import DomainError, c1_constant, s_value
 
 
 @dataclass(frozen=True)

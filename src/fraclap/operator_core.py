@@ -1,6 +1,8 @@
-"""Single-interval weighted fractional Laplacian: diagonal application
-and inversion in the normalized Gegenbauer basis, plus closed-form
-operator images of weighted monomials used as internal cross-checks.
+"""Cross-checks of the single-interval weighted fractional Laplacian:
+its diagonal application and inversion in the normalized Gegenbauer
+basis, and the closed-form operator images of weighted monomials, which
+eigencheck and the tests hold against the spectrum.  The solver does
+not import this module; the kernel constant C_1(s) lives in specfun.
 
 The closed forms live on the interval (0,1): the image of
 x^s (1-x)^s x^n under the operator is an explicit degree-n polynomial
@@ -44,14 +46,6 @@ class Polynomial:
 
     def __call__(self, x):
         return np.polynomial.polynomial.polyval(x, self.coeffs)
-
-
-def c1_constant(s) -> float:
-    """Normalization constant of the singular-integral kernel
-    C_1(s) |x-y|^{-1-2s}: C_1(s) = 2^{2s} s Gamma(s+1/2) / (sqrt(pi) Gamma(1-s)) > 0.
-    """
-    sv = s_value(s)
-    return 2.0 ** (2.0 * sv) * sv * math.gamma(sv + 0.5) / (math.sqrt(math.pi) * math.gamma(1.0 - sv))
 
 
 def image_prefactor(s) -> float:

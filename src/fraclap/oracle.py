@@ -12,9 +12,11 @@ taken by Richardson extrapolation (the excision error expands in powers
 eps^{2-2s}, eps^{4-2s}, ...; one-sided excision diverges for s >= 1/2).
 
 Deliberately slow; used only by tests and the eigencheck command.  The
-quadrature is independent of the spectral machinery, but weighted_mode,
-the eigenfunctions it is checked on, builds its modes with
-gegenbauer.eval_gegenbauer, the solver's own recurrence.
+quadrature is independent of the spectral machinery: its endpoint
+Gauss-Jacobi rules come from the Golub-Welsch eigenvalue problem, not
+from the solver's Newton rules.  But weighted_mode, the eigenfunctions
+it is checked on, builds its modes with gegenbauer.eval_gegenbauer, the
+solver's own recurrence.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gegenbauer import eval_gegenbauer
-from .operator_core import c1_constant
-from .specfun import DomainError, gegenbauer_norm_h, s_value
+from .specfun import DomainError, c1_constant, gegenbauer_norm_h, s_value
 
 
 @dataclass(frozen=True)
@@ -61,11 +62,20 @@ def _legendre(order: int):
 
 @lru_cache(maxsize=None)
 def _jacobi_left(order: int, beta: float):
-    # weight (1+t)^beta on (-1,1); beta > -1.  SciPy is imported here so
-    # that the solver, which never calls the oracle, does not load it.
-    from scipy.special import roots_jacobi
-
-    return roots_jacobi(order, 0.0, beta)
+    """Gauss-Jacobi rule for the weight (1+t)^beta on (-1,1), beta > -1,
+    by Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix
+    of the monic recurrence, the weights the integral of the weight
+    times each eigenvector's first component squared.  Built apart from
+    quadrature.gauss_jacobi, so that the oracle shares no rule with the
+    solver it checks.
+    """
+    k = np.arange(1.0, order)
+    m = 2.0 * k + beta
+    # diagonal entry k: beta^2 / ((2k+beta)(2k+beta+2)), reduced by beta at k = 0
+    diagonal = np.concatenate(([beta / (beta + 2.0)], beta * beta / (m * (m + 2.0))))
+    off = 2.0 * k * (k + beta) / (m * np.sqrt(m * m - 1.0))
+    nodes, vectors = np.linalg.eigh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
+    return nodes, 2.0 ** (beta + 1.0) / (beta + 1.0) * vectors[0] ** 2
 
 
 def _segment_toward_lo(fn, lo, hi, cfg: PVConfig, endpoint_power=None, resolve=None):

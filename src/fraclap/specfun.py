@@ -1,6 +1,7 @@
-"""Special-function kernel: the check of the fractional order,
-Pochhammer symbols, and the spectrum of the edge-weighted fractional
-Laplacian (its eigenvalues and the Gegenbauer norms).
+"""Special-function kernel: the check of the fractional order, the
+normalization C_1(s) of the singular-integral kernel, Pochhammer
+symbols, and the spectrum of the edge-weighted fractional Laplacian
+(its eigenvalues and the Gegenbauer norms).
 
 All functions here are pure; they can be called concurrently without
 restriction.
@@ -28,6 +29,22 @@ def s_value(s) -> float:
     return sv
 
 
+def check_addressable(doubles: int, what: str) -> None:
+    """DomainError naming `what` when an array of that many doubles is
+    larger than this platform can address (np.intp bytes); callers check
+    before they allocate."""
+    if doubles > np.iinfo(np.intp).max // 8:
+        raise DomainError(f"{what} needs an array larger than this platform can address")
+
+
+def c1_constant(s) -> float:
+    """Normalization constant of the singular-integral kernel
+    C_1(s) |x-y|^{-1-2s}: C_1(s) = 2^{2s} s Gamma(s+1/2) / (sqrt(pi) Gamma(1-s)) > 0.
+    """
+    sv = s_value(s)
+    return 2.0 ** (2.0 * sv) * sv * math.gamma(sv + 0.5) / (math.sqrt(math.pi) * math.gamma(1.0 - sv))
+
+
 def pochhammer(z: float, k: int) -> float:
     """Rising factorial (z)_k = z (z+1) ... (z+k-1), as a running product."""
     if k < 0:
@@ -53,14 +70,18 @@ def spectrum(n: int, s) -> tuple[np.ndarray, np.ndarray]:
     h_j is the weighted L2 norm of C_j^(s+1/2),
 
         h_j^2 = 2^(-2s) pi / Gamma(s+1/2)^2 * lambda_j / (j+s+1/2).
+
+    DomainError when n < 0, or when n+1 doubles are more than this
+    platform can address.
     """
     sv = s_value(s)
     if n < 0:
         raise DomainError(f"mode index must be >= 0, got {n}")
-    j = np.arange(1.0, n + 1.0)
+    check_addressable(n + 1, f"mode index {n}")
+    j = np.arange(1, n + 1, dtype=float)  # exactly n entries; a float stop n + 1.0 may round
     lam = np.cumprod(np.concatenate(([math.gamma(2.0 * sv + 1.0)], (j + 2.0 * sv) / j)))
     g = math.gamma(sv + 0.5)
-    h = np.sqrt(2.0 ** (-2.0 * sv) * math.pi / (g * g) * lam / (np.arange(n + 1.0) + sv + 0.5))
+    h = np.sqrt(2.0 ** (-2.0 * sv) * math.pi / (g * g) * lam / (np.arange(n + 1, dtype=float) + sv + 0.5))
     return lam, h
 
 

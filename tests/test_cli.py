@@ -239,6 +239,26 @@ def test_colliding_nodes_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, name",
+    [
+        # the (N+1) x (N//2+1) table of N, or of the reference at 2N, is more
+        # than the platform can address: rejected before anything is allocated
+        (["solve", "--n", "4000000000"], "N = 4000000000"),
+        (["convergence", "--n", "8,16,4000000000"], "N = 8000000000"),
+        # so is the spectrum up to the mode index
+        (["solve", "--rhs", "gegenbauer-mode:99999999999999999999"], "mode index 99999999999999999999"),
+    ],
+    ids=["solve-n", "convergence-reference-n", "gegenbauer-mode-index"],
+)
+def test_unaddressable_size_exit_code(tmp_path, capsys, argv, name):
+    code = run([*argv, "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and name in err and len(err.strip().splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["solve", "--n", "4"],
@@ -621,19 +641,25 @@ def test_negative_endpoints_in_exponent_notation(tmp_path):
     assert [(b["a"], b["b"]) for b in doc["intervals"]] == [(-2.0, -0.1), (0.1, 2.0)]
 
 
-def test_solve_and_convergence_load_no_scipy(tmp_path):
-    # SciPy is a test and eigencheck dependency only; a fresh interpreter
-    # that imports the package and runs both solver subcommands must not
-    # load any scipy module.  Nor may they write to stderr: the "fraclap"
-    # logger carries only a NullHandler, so its debug records (the second
-    # request for (8, 0.5) keeps that reference block) reach no stream
-    # unless the caller configures logging.
+def test_subcommands_load_no_scipy(tmp_path):
+    # SciPy is a test dependency only; a fresh interpreter that imports
+    # the package and runs every subcommand must not load any scipy
+    # module, and the package alone loads only the solver's modules.  Nor
+    # may they write to stderr: the "fraclap" logger carries only a
+    # NullHandler, so its debug records (the second request for (8, 0.5)
+    # keeps that reference block) reach no stream unless the caller
+    # configures logging.
     script = """
 import logging, sys
-import fraclap, fraclap.cli
+import fraclap
+package = sorted(m for m in sys.modules if m == "fraclap" or m.startswith("fraclap."))
+solver = ["gegenbauer", "multi_interval", "problem", "quadrature", "specfun"]
+assert package == ["fraclap"] + ["fraclap." + m for m in solver], package
+import fraclap.cli
 assert any(isinstance(h, logging.NullHandler) for h in logging.getLogger("fraclap").handlers)
 assert fraclap.cli.main(["solve", "--interval", "-1", "-0.1", "--interval", "0.1", "1", "--n", "8"]) == 0
 assert fraclap.cli.main(["convergence", "--n", "8,16,32", "--ref-n", "64"]) == 0
+assert fraclap.cli.main(["eigencheck", "--n", "2", "--s", "0.5"]) == 0
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
 """

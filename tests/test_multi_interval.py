@@ -18,11 +18,11 @@ from hypothesis import given, settings, strategies as st
 from fraclap import gegenbauer, multi_interval
 from fraclap.gegenbauer import _ReferenceBlock, evaluate_expansion, forward_transform
 from fraclap.multi_interval import Domain, apply_offdiagonal, gmres, solve
-from fraclap.operator_core import c1_constant, solve_diagonal
+from fraclap.operator_core import solve_diagonal
 from fraclap.oracle import PVConfig, pv_exterior
 from fraclap.problem import ProblemSpec, resolve_rhs
 from fraclap.quadrature import gauss_jacobi, map_to_interval
-from fraclap.specfun import DomainError, spectrum
+from fraclap.specfun import DomainError, c1_constant, spectrum
 
 
 def two_interval_domain(gap=0.3, length=1.0):

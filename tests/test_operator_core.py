@@ -11,7 +11,6 @@ from fraclap.gegenbauer import (
 )
 from fraclap.operator_core import (
     Polynomial,
-    c1_constant,
     apply_diagonal,
     image_prefactor,
     ln_polynomial,
@@ -21,7 +20,7 @@ from fraclap.operator_core import (
 )
 from fraclap.oracle import pv_exterior
 from fraclap.quadrature import gauss_jacobi, map_to_interval
-from fraclap.specfun import eigenvalue_lambda
+from fraclap.specfun import c1_constant, eigenvalue_lambda
 
 # high-precision references (40-digit quadrature of the singular integrals)
 L3_S03_SAMPLES = {

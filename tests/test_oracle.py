@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from fraclap.gegenbauer import eval_gegenbauer
-from fraclap.oracle import PVConfig, pv_apply, pv_exterior, weighted_mode
+from fraclap.oracle import PVConfig, _jacobi_left, pv_apply, pv_exterior, weighted_mode
 from fraclap.specfun import DomainError, eigenvalue_lambda, gegenbauer_norm_h
 
 FAST = PVConfig(levels=5, panels_per_side=10, gauss_order=12)
@@ -108,3 +109,20 @@ def test_extrapolation_self_consistency():
     a = pv_apply(uprime, x, s, (-1.0, 1.0), PVConfig(levels=5))
     b = pv_apply(uprime, x, s, (-1.0, 1.0), PVConfig(levels=7, eps0_frac=5e-3))
     assert abs(a - b) < 1e-7
+
+
+@pytest.mark.parametrize("order", [16, 20, 24])
+@pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.75, 0.9])
+@pytest.mark.parametrize("shift", [-1.0, 0.0])
+def test_endpoint_rule_matches_scipy_and_is_exact(order, s, shift):
+    # the endpoint panels' Golub-Welsch rule for the weight (1+t)^beta,
+    # beta = s-1 (pv_apply) or s (pv_exterior); worst seen 2.1e-12
+    beta = s + shift
+    nodes, weights = _jacobi_left(order, beta)
+    want_nodes, want_weights = roots_jacobi(order, 0.0, beta)
+    np.testing.assert_allclose(nodes, want_nodes, rtol=1e-11, atol=0)
+    np.testing.assert_allclose(weights, want_weights, rtol=1e-11, atol=0)
+    # exact for (1+t)^m, m <= 2 order - 1: int (1+t)^(beta+m) dt = 2^(beta+m+1)/(beta+m+1)
+    m = np.arange(2 * order)
+    moments = weights @ (1.0 + nodes[:, None]) ** m
+    np.testing.assert_allclose(moments, 2.0 ** (beta + m + 1.0) / (beta + m + 1.0), rtol=1e-13, atol=0)

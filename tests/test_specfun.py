@@ -96,6 +96,10 @@ def test_spectrum_matches_scalar_entries():
         assert gegenbauer_norm_h(j, 0.3) == h[j]
     with pytest.raises(DomainError):
         spectrum(-1, 0.3)
+    # the first n whose n+1 doubles are more than the platform can address
+    first = np.iinfo(np.intp).max // 8
+    with pytest.raises(DomainError, match=f"mode index {first} "):
+        spectrum(first, 0.3)
 
 
 @pytest.mark.parametrize("s", [0.1, 0.3, 0.4, 0.6, 0.9])

@@ -16,6 +16,7 @@ The package itself re-exports only what callers take from it: each
 name that __init__.py imports is imported from fraclap, or used as
 fraclap.<name>, by the benchmark or by a python example in README.md.
 Building blocks are imported from their modules.
+NumPy is the one runtime dependency: no module imports SciPy.
 """
 
 import ast
@@ -128,3 +129,18 @@ def test_only_the_rules_and_the_transform_use_the_recurrence():
             ):
                 used.append(f"{path.stem}: {ast.unparse(node)}")
     assert used == [], f"modules outside quadrature.py and gegenbauer.py using the rules' recurrence: {used}"
+
+
+def test_no_module_imports_scipy():
+    # SciPy is a test dependency only; a function-local import counts too
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.stem}: {name}" for name in names if name.split(".")[0] == "scipy"]
+    assert found == [], f"modules importing SciPy: {found}"
