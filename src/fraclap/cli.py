@@ -9,8 +9,8 @@ solve and convergence read an INI-style file (--config) and/or flags;
 flags win over the file, the file wins over defaults.  eigencheck reads
 only --s, --n and --out.  Exit codes:
 0 success, 1 solver/check failure (a refused allocation included),
-2 configuration error (an --out prefix that cannot be written
-included; no directory is created).
+2 configuration error (a malformed command line and an --out prefix
+that cannot be written included; no directory is created).
 """
 
 from __future__ import annotations
@@ -41,6 +41,14 @@ class ConfigError(Exception):
     pass
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A malformed command line is a ConfigError, as a bad config file is;
+    add_subparsers gives the subcommands this class too."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 # Tokens argparse must read as negative numbers rather than options:
 # its default pattern misses exponent notation such as -2e0 or -1e-1,
 # and the non-finite spellings float() accepts (-inf, -infinity, -nan,
@@ -66,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     override file values by name.  Built once per process: parsing
     leaves the parser unchanged, so every main() call shares it.
     """
-    parser = argparse.ArgumentParser(prog="fraclap", description=__doc__)
+    parser = _ArgumentParser(prog="fraclap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_subcommand(name):
@@ -344,9 +352,8 @@ def cmd_eigencheck(s_list, nmax: int, out_prefix: str) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "eigencheck":
             n = (4,) if args.n is None else _parse_n(args.n)
             if len(n) != 1 or n[0] < 0:

@@ -9,11 +9,13 @@ act with the table's even and odd rows, so no pass rescales the table.
 
 The discrete transform pair at the Gauss-Jacobi nodes has one home: the
 reference block of (n, s) from gauss_basis, through which the solver's
-K^-1 and forward_transform both run.  It holds the rule, the table of
-P_j / P_j(1) that the rule's last Newton pass writes, and the spectrum.
-The nodes are symmetric about 0 and C_j(-x) = (-1)^j C_j(x), so the
-table covers only the nonnegative half: even modes see the sum of
-mirrored node values, odd modes their difference.  The blocks of keys
+K^-1 runs.  It holds the rule, the table of P_j / P_j(1) that the rule's
+last Newton pass writes, and the spectrum; lam * coeffs(values) is the
+forward transform f_j = (1/h_j) sum_i f(x_i) C_j(x_i) w_i, exact to
+roundoff whenever deg(f) + j <= 2n+1.  The nodes are symmetric about
+0 and C_j(-x) = (-1)^j C_j(x), so the table covers only the nonnegative
+half: even modes see the sum of mirrored node values, odd modes their
+difference.  The blocks of keys
 that recur are kept and shared, read-only, between solves and threads;
 a sweep that never repeats a key holds no extra memory.
 
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import QuadratureRule, gauss_jacobi, jacobi_ratios, map_to_interval
+from .quadrature import gauss_jacobi, jacobi_ratios
 from .specfun import DomainError, check_addressable, s_value, spectrum
 
 _log = logging.getLogger(__name__)
@@ -86,11 +88,6 @@ def eval_gegenbauer(n: int, alpha: float, x):
     p, _ = jacobi_ratios(n, alpha - 0.5, np.abs(x).reshape(-1))
     p *= np.where(x.reshape(-1) < 0, (-1.0) ** n * at_one, at_one)
     return p.reshape(x.shape)[()]
-
-
-def norm_vector(n: int, s) -> np.ndarray:
-    """h_j^{(s+1/2)} for j = 0..n."""
-    return spectrum(n, s)[1]
 
 
 class _ReferenceBlock:
@@ -220,30 +217,6 @@ def gauss_basis(n: int, s) -> _ReferenceBlock:
     return _MEMO.get(n, sv)
 
 
-def forward_transform(values, rule: QuadratureRule, s) -> GegenbauerCoeffs:
-    """Discrete coefficients f_j = (1/h_j) sum_i f(x_i) C_j(x_i) w_i, j = 0..n.
-
-    rule must be gauss_jacobi(n, s) or its map_to_interval image
-    (ValueError otherwise).  The coefficients are tagged with its
-    interval but formed in the reference frame, by gauss_basis(n, s), so
-    affinely related data give identical vectors.  Exact to roundoff
-    whenever deg(f) + j <= 2n+1.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or values.size != len(rule):
-        raise ValueError(f"expected {len(rule)} node values, got shape {values.shape}")
-    sv = s_value(s)
-    if abs(rule.alpha - sv) > 1e-12:
-        raise ValueError(f"rule weight exponent {rule.alpha} does not match s = {sv}")
-    n = len(rule) - 1
-    basis = gauss_basis(n, sv)
-    a, b = rule.interval
-    reference = (a, b) == (-1.0, 1.0) and np.array_equal(rule.nodes, basis.rule.nodes)
-    if not (reference or np.array_equal(rule.nodes, map_to_interval(basis.rule, a, b).nodes)):
-        raise ValueError(f"the rule is not gauss_jacobi({n}, {sv}) or its image on ({a}, {b})")
-    return GegenbauerCoeffs(sv, (float(a), float(b)), basis.lam * basis.coeffs(values))
-
-
 def evaluate_expansion(c: GegenbauerCoeffs, x):
     """Sum_j c_j C~_j^{(s+1/2)}(xt) at x (scalar or array), xt the reference variable."""
     a, b = c.interval
@@ -252,7 +225,7 @@ def evaluate_expansion(c: GegenbauerCoeffs, x):
     flat = xt.reshape(-1)
     rows = np.empty((n + 1, flat.size))
     jacobi_ratios(n, c.s, np.abs(flat), rows)
-    scaled = c.coeffs * _at_one(n, c.s + 0.5) / norm_vector(n, c.s)
+    scaled = c.coeffs * _at_one(n, c.s + 0.5) / spectrum(n, c.s)[1]
     even = scaled[0::2] @ rows[0::2]
     odd = scaled[1::2] @ rows[1::2]
     result = np.where(flat < 0, even - odd, even + odd)

@@ -10,24 +10,14 @@ import math
 import numpy as np
 from scipy.special import beta as sp_beta
 
-from fraclap.gegenbauer import (
-    eval_gegenbauer,
-    evaluate_expansion,
-    forward_transform,
-    norm_vector,
-)
+from fraclap.gegenbauer import GegenbauerCoeffs, eval_gegenbauer, evaluate_expansion, gauss_basis
 from fraclap.multi_interval import Domain, apply_offdiagonal, solve
-from fraclap.operator_core import (
-    apply_diagonal,
-    monomial_operator_matrix,
-    solve_diagonal,
-    ts_weighted_monomial_image,
-)
+from fraclap.operator_core import monomial_operator_matrix, ts_weighted_monomial_image
 from fraclap.oracle import pv_apply, pv_exterior, weighted_mode
 from fraclap.problem import ProblemSpec, resolve_rhs
 from fraclap.quadrature import gauss_jacobi, map_to_interval, total_mass
 from fraclap.sobolev_metrics import error_between, fit_order, is_super_algebraic
-from fraclap.specfun import eigenvalue_lambda, gegenbauer_norm_h
+from fraclap.specfun import eigenvalue_lambda, gegenbauer_norm_h, spectrum
 
 TWO_INTERVALS = Domain(((-1.075, -0.075), (0.075, 1.075)))
 
@@ -78,7 +68,7 @@ def test_criterion_2_closed_form_images(capfd):
     worst0 = 0.0
     for s in np.linspace(0.04, 0.96, 20):
         p = ts_weighted_monomial_image(0, s)
-        worst0 = max(worst0, abs(p.coeffs[0] - math.gamma(2 * s + 1)))
+        worst0 = max(worst0, abs(p[0] - math.gamma(2 * s + 1)))
     ok0 = worst0 <= 1e-12
     worst_tri = 0.0
     for s in (0.25, 0.75):
@@ -159,22 +149,23 @@ def test_criterion_7_self_adjointness(capfd):
     ok = True
     worst = 0.0
     for s in (0.25, 0.5, 0.75):
-        rule = gauss_jacobi(2 * deg + 2, s)
-        # coefficient vectors of all monomials x^i, i <= deg; bilinearity
-        # extends the check to every polynomial pair of degree <= deg
-        cs = [forward_transform(rule.nodes**i, rule, s) for i in range(deg + 1)]
-        lam = np.array([eigenvalue_lambda(j, s) for j in range(len(rule))])
+        basis = gauss_basis(2 * deg + 2, s)
+        # coefficient vectors of all monomials x^i, i <= deg, by the
+        # solver's transform; bilinearity extends the check to every
+        # polynomial pair of degree <= deg
+        cs = [basis.lam * basis.coeffs(basis.rule.nodes**i) for i in range(deg + 1)]
+        lam = np.array([eigenvalue_lambda(j, s) for j in range(2 * deg + 3)])
         for i in range(deg + 1):
             for j in range(deg + 1):
-                lhs = float(np.sum(lam * cs[i].coeffs * cs[j].coeffs))
-                rhs = float(np.sum(cs[i].coeffs * lam * cs[j].coeffs))
+                lhs = float(np.sum(lam * cs[i] * cs[j]))
+                rhs = float(np.sum(cs[i] * lam * cs[j]))
                 scale = max(abs(lhs), abs(rhs), 1.0)
                 worst = max(worst, abs(lhs - rhs) / scale)
-        # also check through the operator application path
+        # also check with the spectrum the solver divides by
         for i in range(0, deg + 1, 3):
             for j in range(0, deg + 1, 3):
-                lhs = float(np.sum(apply_diagonal(cs[i]).coeffs * cs[j].coeffs))
-                rhs = float(np.sum(cs[i].coeffs * apply_diagonal(cs[j]).coeffs))
+                lhs = float(np.sum((basis.lam * cs[i]) * cs[j]))
+                rhs = float(np.sum(cs[i] * (basis.lam * cs[j])))
                 scale = max(abs(lhs), abs(rhs), 1.0)
                 worst = max(worst, abs(lhs - rhs) / scale)
     ok = worst <= 1e-11
@@ -187,9 +178,8 @@ def test_criterion_8_polynomial_exactness(capfd):
     for s in (0.25, 0.6):
         for n in (5, 11):
             f = np.polynomial.polynomial.Polynomial(rng.standard_normal(n + 1))
-            rule = gauss_jacobi(n, s)
-            phi = solve_diagonal(forward_transform(f(rule.nodes), rule, s))
-            back = apply_diagonal(phi)
+            phi = solve(ProblemSpec(s, Domain(((-1.0, 1.0),)), f, n)).blocks[0]
+            back = GegenbauerCoeffs(s, phi.interval, spectrum(n, s)[0] * phi.coeffs)
             x = rng.uniform(-0.999, 0.999, 100)
             resid = np.abs(evaluate_expansion(back, x) - f(x))
             scale = max(np.max(np.abs(f(x))), 1.0)
@@ -202,7 +192,7 @@ def test_criterion_9_offdiagonal_vs_oracle(capfd):
     n = 16
     rules = [map_to_interval(gauss_jacobi(n, s), a, b) for a, b in TWO_INTERVALS.intervals]
     a0, b0 = TWO_INTERVALS.intervals[0]
-    h = norm_vector(2, s)
+    h = spectrum(2, s)[1]
     densities = {
         "constant": lambda xt: np.ones_like(xt),
         "linear": lambda xt: 2.0 * (s + 0.5) * xt / h[1],

@@ -548,11 +548,38 @@ def test_eigencheck_rejects_n_other_than_one_integer(tmp_path, capsys, n):
     ],
 )
 def test_flag_not_read_by_subcommand_exits_2(tmp_path, capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        run(argv + ["--out", str(tmp_path / "x")])
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    assert run(argv + ["--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unrecognized arguments") and len(err.strip().splitlines()) == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--s", "abc"], "invalid float value: 'abc'"),
+        (["solve", "--interval", "0"], "--interval: expected 2 arguments"),
+        (["solve", "--s"], "--s: expected one argument"),
+        (["solve", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        ([], "required: command"),
+        (["frob"], "invalid choice: 'frob'"),
+    ],
+    ids=["non-numeric-s", "one-endpoint", "s-without-value", "unknown-flag", "no-subcommand", "unknown-subcommand"],
+)
+def test_malformed_command_line_is_a_config_error(tmp_path, capsys, monkeypatch, argv, message):
+    # argparse's own error path printed usage and raised SystemExit(2)
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err and len(err.strip().splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "--interval" in capsys.readouterr().out
 
 
 def test_non_integer_n_exit_code(tmp_path, capsys):

@@ -6,16 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import eval_gegenbauer as sp_gegen
 
-from fraclap import gegenbauer
-from fraclap.gegenbauer import (
-    GegenbauerCoeffs,
-    eval_gegenbauer,
-    evaluate_expansion,
-    forward_transform,
-    norm_vector,
-)
-from fraclap.quadrature import QuadratureRule, gauss_jacobi, map_to_interval
-from fraclap.specfun import DomainError, gegenbauer_norm_h
+from fraclap.gegenbauer import GegenbauerCoeffs, eval_gegenbauer, evaluate_expansion, gauss_basis
+from fraclap.quadrature import gauss_jacobi
+from fraclap.specfun import DomainError, gegenbauer_norm_h, spectrum
 
 
 def test_eval_low_orders():
@@ -86,7 +79,7 @@ def test_accurate_near_both_endpoints():
     for j in (0, 1, 2, 7, 64, 255, 511, 512, n - 1, n):
         got = eval_gegenbauer(j, s + 0.5, points)
         assert np.max(np.abs(got - want[j]) / np.abs(want[j])) <= 1e-11
-    h = norm_vector(n, s)
+    h = spectrum(n, s)[1]
     for j in (n - 1, n):  # the top modes, where the three-term error is largest
         c = GegenbauerCoeffs(s, (-1.0, 1.0), np.eye(n + 1)[j])
         rel = evaluate_expansion(c, points) * h[j] / want[j] - 1.0
@@ -104,78 +97,37 @@ def test_growth_on_interval():
     assert max(ratios) / min(ratios) < 2.0
 
 
+def transform(values, n, s):
+    """Coefficients f_j = (1/h_j) sum_i f(x_i) C_j(x_i) w_i at the nodes of
+    the solver's reference block."""
+    basis = gauss_basis(n, s)
+    return basis.lam * basis.coeffs(values)
+
+
 @pytest.mark.parametrize("s", [0.25, 0.6])
-def test_forward_transform_orthonormality(s):
+def test_transform_orthonormality(s):
     n = 14
-    rule = gauss_jacobi(n, s)
-    h = norm_vector(n, s)
+    nodes = gauss_basis(n, s).rule.nodes
+    h = spectrum(n, s)[1]
     for i in range(n + 1):
-        samples = eval_gegenbauer(i, s + 0.5, rule.nodes) / h[i]
-        c = forward_transform(samples, rule, s)
-        e = np.zeros(n + 1)
-        e[i] = 1.0
-        np.testing.assert_allclose(c.coeffs, e, atol=1e-12)
+        samples = eval_gegenbauer(i, s + 0.5, nodes) / h[i]
+        np.testing.assert_allclose(transform(samples, n, s), np.eye(n + 1)[i], atol=1e-12)
 
 
-def test_forward_transform_constant():
+def test_transform_constant():
     s = 0.4
     n = 6
-    rule = gauss_jacobi(n, s)
-    c = forward_transform(np.ones(n + 1), rule, s)
-    assert c.coeffs[0] == pytest.approx(gegenbauer_norm_h(0, s), rel=1e-13)
-    np.testing.assert_allclose(c.coeffs[1:], 0.0, atol=1e-13)
+    c = transform(np.ones(n + 1), n, s)
+    assert c[0] == pytest.approx(gegenbauer_norm_h(0, s), rel=1e-13)
+    np.testing.assert_allclose(c[1:], 0.0, atol=1e-13)
 
 
-def test_forward_transform_single_node():
+def test_transform_single_node():
     s = 0.3
-    rule = gauss_jacobi(0, s)
     v = 2.7
-    c = forward_transform(np.array([v]), rule, s)
-    assert c.coeffs[0] == pytest.approx(v * rule.weights[0] / gegenbauer_norm_h(0, s), rel=1e-14)
-
-
-def test_forward_transform_length_mismatch():
-    rule = gauss_jacobi(4, 0.5)
-    with pytest.raises(ValueError):
-        forward_transform(np.ones(3), rule, 0.5)
-    with pytest.raises(ValueError):
-        forward_transform(np.ones(5), rule, 0.3)  # alpha mismatch
-
-
-def test_forward_transform_rejects_rules_not_from_gauss_jacobi():
-    # its exactness holds at the Gauss-Jacobi nodes only; a symmetric rule
-    # of the right size and exponent, or the right nodes labelled with
-    # another interval, is not such a rule
-    n, s = 4, 0.3
-    hand_built = QuadratureRule(s, np.linspace(-0.8, 0.8, n + 1), np.full(n + 1, 0.3))
-    mapped = map_to_interval(gauss_jacobi(n, s), 2.0, 3.0)
-    relabelled = QuadratureRule(s, mapped.nodes, mapped.weights, interval=(1.5, 3.5))
-    for rule in (hand_built, map_to_interval(hand_built, 2.0, 3.0), relabelled):
-        with pytest.raises(ValueError):
-            forward_transform(np.ones(n + 1), rule, s)
-    for rule in (mapped, map_to_interval(gauss_jacobi(n, s), -1.0, 1.0)):
-        forward_transform(np.ones(n + 1), rule, s)
-
-
-def test_forward_transform_shares_its_basis_once_the_key_recurs(monkeypatch):
-    monkeypatch.setattr(gegenbauer, "_MEMO", gegenbauer._BlockMemo())
-    built = []
-    build = gegenbauer.gauss_jacobi
-
-    def counting(*args, **kwargs):
-        built.append(args[:2])
-        return build(*args, **kwargs)
-
-    monkeypatch.setattr(gegenbauer, "gauss_jacobi", counting)
-    n, s = 16, 0.3
-    rule = gauss_jacobi(n, s)
-    values = np.cos(rule.nodes)
-    first = forward_transform(values, rule, s)
-    forward_transform(values, rule, s)
-    assert built == [(n, s), (n, s)]
-    third = forward_transform(values, rule, s)
-    assert built == [(n, s), (n, s)]
-    assert np.array_equal(third.coeffs, first.coeffs)
+    c = transform(np.array([v]), 0, s)
+    weight = gauss_basis(0, s).rule.weights[0]
+    assert c[0] == pytest.approx(v * weight / gegenbauer_norm_h(0, s), rel=1e-14)
 
 
 def test_roundtrip_polynomial():
@@ -184,35 +136,20 @@ def test_roundtrip_polynomial():
     rng = np.random.default_rng(7)
     mono = rng.standard_normal(n + 1)
     poly = np.polynomial.polynomial.Polynomial(mono)
-    rule = gauss_jacobi(n, s)
-    c = forward_transform(poly(rule.nodes), rule, s)
+    c = transform(poly(gauss_basis(n, s).rule.nodes), n, s)
     fresh = np.linspace(-0.95, 0.95, 17)
-    np.testing.assert_allclose(evaluate_expansion(c, fresh), poly(fresh), rtol=1e-12, atol=1e-12)
-
-
-def test_scale_invariance_of_coefficients():
-    # affinely related samples produce identical coefficient vectors
-    s = 0.4
-    n = 8
-    a, b = 3.0, 7.0
-    ref_rule = gauss_jacobi(n, s)
-    mapped = map_to_interval(ref_rule, a, b)
-    f = lambda t: np.cos(1.3 * t) + t**2
-    c_ref = forward_transform(f(ref_rule.nodes), ref_rule, s)
-    xt = 2 * (mapped.nodes - a) / (b - a) - 1
-    c_map = forward_transform(f(xt), mapped, s)
-    np.testing.assert_allclose(c_map.coeffs, c_ref.coeffs, rtol=0, atol=1e-13)
+    expansion = GegenbauerCoeffs(s, (-1.0, 1.0), c)
+    np.testing.assert_allclose(evaluate_expansion(expansion, fresh), poly(fresh), rtol=1e-12, atol=1e-12)
 
 
 def test_discrete_parseval():
     s = 0.35
     n = 12
-    rule = gauss_jacobi(n, s)
-    vals = np.sin(2.0 * rule.nodes) + 0.3  # interpolated exactly at nodes? no --
-    # use an exact-degree polynomial so the interpolant is the function itself
+    rule = gauss_basis(n, s).rule
+    # an exact-degree polynomial, so the interpolant is the function itself
     vals = np.polynomial.polynomial.polyval(rule.nodes, np.arange(1, n + 2, dtype=float))
-    c = forward_transform(vals, rule, s)
-    lhs = float(np.sum(c.coeffs**2))
+    c = transform(vals, n, s)
+    lhs = float(np.sum(c**2))
     rhs = float(np.dot(rule.weights, vals**2))
     assert lhs == pytest.approx(rhs, rel=1e-12)
 

@@ -16,9 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fraclap import gegenbauer, multi_interval
-from fraclap.gegenbauer import _ReferenceBlock, evaluate_expansion, forward_transform
+from fraclap.gegenbauer import _ReferenceBlock, eval_gegenbauer, evaluate_expansion, gauss_basis
 from fraclap.multi_interval import Domain, apply_offdiagonal, gmres, solve
-from fraclap.operator_core import solve_diagonal
 from fraclap.oracle import PVConfig, pv_exterior
 from fraclap.problem import ProblemSpec, resolve_rhs
 from fraclap.quadrature import gauss_jacobi, map_to_interval
@@ -253,14 +252,17 @@ def test_solve_exact_under_power_of_two_scaling_of_rhs(k):
 
 
 def test_single_interval_matches_diagonal_path():
-    s = 0.45
-    dom = Domain(((-1.0, 1.0),))
-    spec = make_spec(dom, s, "runge", 24)
+    # phi_j = f_j / lambda_j, f_j = (1/h_j) sum_i f(x_i) C_j(x_i) w_i, with
+    # each mode evaluated on its own instead of through the solver's table
+    s, n = 0.45, 24
+    spec = make_spec(Domain(((-1.0, 1.0),)), s, "runge", n)
     sol = solve(spec)
     assert sol.gmres_iterations == 0
-    rule = gauss_jacobi(24, s)
-    direct = solve_diagonal(forward_transform(spec.rhs(rule.nodes), rule, s))
-    np.testing.assert_allclose(sol.blocks[0].coeffs, direct.coeffs, rtol=0, atol=1e-14)
+    rule = gauss_jacobi(n, s)
+    lam, h = spectrum(n, s)
+    weighted = spec.rhs(rule.nodes) * rule.weights
+    direct = np.array([weighted @ eval_gegenbauer(j, s + 0.5, rule.nodes) for j in range(n + 1)]) / (h * lam)
+    np.testing.assert_allclose(sol.blocks[0].coeffs, direct, rtol=0, atol=2e-15 * np.max(np.abs(direct)))
 
 
 def test_two_interval_solution_symmetry():
@@ -534,7 +536,7 @@ def test_concurrent_solves_share_blocks_bitwise(empty_memo, monkeypatch):
 
 def test_coefficients_solve_residual_equation():
     # phi = K^-1 (f - R Y) with Y the node values of the returned phi,
-    # rebuilt from the standalone transform, diagonal solve and coupling
+    # rebuilt from the reference blocks' K^-1 and the standalone coupling
     s = 0.6
     spec = make_spec(EIGHT_INTERVALS, s, "runge", EIGHT_NS)
     sol = solve(spec)
@@ -545,8 +547,8 @@ def test_coefficients_solve_residual_equation():
     RY = apply_offdiagonal(Y, rules, s)
     scale = max(np.max(np.abs(block.coeffs)) for block in sol.blocks)
     for block, rule, ry in zip(sol.blocks, rules, RY):
-        expect = solve_diagonal(forward_transform(spec.rhs(rule.nodes) - ry, rule, s))
-        np.testing.assert_allclose(block.coeffs, expect.coeffs, rtol=0, atol=1e-12 * scale)
+        expect = gauss_basis(len(rule) - 1, s).coeffs(spec.rhs(rule.nodes) - ry)
+        np.testing.assert_allclose(block.coeffs, expect, rtol=0, atol=1e-12 * scale)
 
 
 @pytest.mark.parametrize("s", [0.25, 0.6, 0.9])

@@ -3,24 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from fraclap.gegenbauer import (
-    GegenbauerCoeffs,
-    evaluate_expansion,
-    forward_transform,
-    norm_vector,
-)
+from fraclap.gegenbauer import GegenbauerCoeffs, evaluate_expansion, gauss_basis
+from fraclap.multi_interval import Domain, solve
 from fraclap.operator_core import (
-    Polynomial,
-    apply_diagonal,
     image_prefactor,
     ln_polynomial,
     monomial_operator_matrix,
-    solve_diagonal,
     ts_weighted_monomial_image,
 )
 from fraclap.oracle import pv_exterior
-from fraclap.quadrature import gauss_jacobi, map_to_interval
-from fraclap.specfun import c1_constant, eigenvalue_lambda
+from fraclap.problem import ProblemSpec
+from fraclap.specfun import c1_constant, eigenvalue_lambda, spectrum
+
+polyval = np.polynomial.polynomial.polyval
 
 # high-precision references (40-digit quadrature of the singular integrals)
 L3_S03_SAMPLES = {
@@ -32,12 +27,10 @@ L3_S03_SAMPLES = {
 }
 
 
-def test_polynomial_trimming():
-    p = Polynomial(np.array([1.0, 2.0, 1e-18]))
-    assert p.coeffs.tolist() == [1.0, 2.0]
-    assert Polynomial(np.zeros(4)).coeffs.tolist() == [0.0]
-    assert Polynomial(np.array([0.0, 0.0, 3.0])).coeffs.size == 3
-    assert p(2.0) == pytest.approx(5.0)
+def solve_on(interval, s, f, n):
+    """The single-interval solve of the program: (phi, GMRES iterations)."""
+    sol = solve(ProblemSpec(s, Domain((interval,)), f, n))
+    return sol.blocks[0], sol.gmres_iterations
 
 
 def test_norm_constants():
@@ -55,50 +48,37 @@ def test_image_prefactor_matches_cs_form():
     assert math.isfinite(image_prefactor(0.5))
 
 
-def test_apply_and_solve_diagonal():
-    s = 0.35
-    c = GegenbauerCoeffs(s, (-1.0, 1.0), np.array([1.0, -2.0, 0.5, 3.0]))
-    out = apply_diagonal(c)
-    lam = [eigenvalue_lambda(j, s) for j in range(4)]
-    np.testing.assert_allclose(out.coeffs, np.array(lam) * c.coeffs, rtol=1e-14)
-    back = solve_diagonal(out)
-    np.testing.assert_allclose(back.coeffs, c.coeffs, rtol=1e-13)
-    # interval-independence of the eigenvalues
-    c2 = GegenbauerCoeffs(s, (3.0, 7.0), c.coeffs)
-    np.testing.assert_allclose(apply_diagonal(c2).coeffs, out.coeffs, rtol=1e-14)
-
-
 def test_solve_constant_rhs():
     # f = 1 gives phi = 1/Gamma(2s+1), i.e. u = (1-x^2)^s / Gamma(2s+1)
     s = 0.3
     n = 5
-    rule = gauss_jacobi(n, s)
-    phi = solve_diagonal(forward_transform(np.ones(n + 1), rule, s))
+    phi, iterations = solve_on((-1.0, 1.0), s, np.ones_like, n)
+    assert iterations == 0
     for x in (-0.7, 0.0, 0.4):
         assert evaluate_expansion(phi, x) == pytest.approx(1.0 / math.gamma(2 * s + 1), rel=1e-13)
 
 
 def test_ln_polynomial_basics():
-    assert ln_polynomial(0, 0.4).coeffs.tolist() == [0.0]
+    assert ln_polynomial(0, 0.4).tolist() == [0.0]
     for s in (0.2, 0.5, 0.8):
         p = ln_polynomial(1, s)
-        assert p.coeffs.size == 1
-        assert p.coeffs[0] == pytest.approx(-math.pi / math.sin(math.pi * s), rel=1e-12)
+        assert p.size == 1
+        assert p[0] == pytest.approx(-math.pi / math.sin(math.pi * s), rel=1e-12)
     for n in range(1, 8):
-        assert ln_polynomial(n, 0.3).coeffs.size == n
+        assert ln_polynomial(n, 0.3).size == n
 
 
 def test_ln_polynomial_vs_quadrature():
     p = ln_polynomial(3, 0.3)
     for x, ref in L3_S03_SAMPLES.items():
-        assert p(x) == pytest.approx(ref, abs=1e-7)
+        assert polyval(x, p) == pytest.approx(ref, abs=1e-7)
 
 
 def test_image_constant_mode():
     for s in np.linspace(0.05, 0.95, 20):
         p = ts_weighted_monomial_image(0, s)
-        assert p.coeffs.size == 1
-        assert p.coeffs[0] == pytest.approx(math.gamma(2 * s + 1), rel=1e-12)
+        assert p.size == 1
+        assert p[0] == pytest.approx(math.gamma(2 * s + 1), rel=1e-12)
 
 
 def test_image_polynomial_only_inside_unit_interval():
@@ -109,8 +89,8 @@ def test_image_polynomial_only_inside_unit_interval():
     u = lambda z: (np.asarray(z, float) * (1.0 - np.asarray(z, float))) ** s
     exterior = pv_exterior(u, 1.5, s, (0.0, 1.0))
     assert exterior == pytest.approx(1.0 - 1.0 / math.sqrt(0.75), rel=1e-10)
-    assert p(1.5) == pytest.approx(1.0, rel=1e-14)
-    assert abs(p(1.5) - exterior) > 1.0
+    assert polyval(1.5, p) == pytest.approx(1.0, rel=1e-14)
+    assert abs(polyval(1.5, p) - exterior) > 1.0
 
 
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
@@ -131,7 +111,7 @@ def test_eigen_consistency_matrix_conjugation():
     mat = monomial_operator_matrix(m, s)
     # column j of T: monomial coefficients (in x on (0,1)) of C~_j(2x-1)
     P = np.polynomial.Polynomial
-    h = norm_vector(m, s)
+    h = spectrum(m, s)[1]
     alpha = s + 0.5
     shift = P([-1.0, 2.0])
     polys = [P([1.0]), P([0.0, 2.0 * alpha])]
@@ -155,19 +135,15 @@ def test_self_adjointness(s):
     # products by exact-degree quadrature on (-1,1)
     deg = 10
     rng = np.random.default_rng(3)
-    rule = gauss_jacobi(2 * deg + 2, s)
-    h = norm_vector(2 * deg + 2, s)
-
-    def scalar(cp, cq):
-        return float(np.sum(cp.coeffs[: deg + 1] * cq.coeffs[: deg + 1]))
+    basis = gauss_basis(2 * deg + 2, s)
 
     for _ in range(6):
         p = np.polynomial.polynomial.Polynomial(rng.standard_normal(deg + 1))
         q = np.polynomial.polynomial.Polynomial(rng.standard_normal(deg + 1))
-        cp = forward_transform(p(rule.nodes), rule, s)
-        cq = forward_transform(q(rule.nodes), rule, s)
-        lhs = float(np.sum(apply_diagonal(cp).coeffs * cq.coeffs))
-        rhs = float(np.sum(cp.coeffs * apply_diagonal(cq).coeffs))
+        cp = basis.lam * basis.coeffs(p(basis.rule.nodes))
+        cq = basis.lam * basis.coeffs(q(basis.rule.nodes))
+        lhs = float(np.sum((basis.lam * cp) * cq))
+        rhs = float(np.sum(cp * (basis.lam * cq)))
         scale = max(abs(lhs), abs(rhs), 1.0)
         assert abs(lhs - rhs) <= 1e-11 * scale
 
@@ -179,9 +155,8 @@ def test_polynomial_exactness_residual():
     n = 9
     rng = np.random.default_rng(11)
     f = np.polynomial.polynomial.Polynomial(rng.standard_normal(n + 1))
-    rule = gauss_jacobi(n, s)
-    phi = solve_diagonal(forward_transform(f(rule.nodes), rule, s))
-    back = apply_diagonal(phi)
+    phi, _ = solve_on((-1.0, 1.0), s, f, n)
+    back = GegenbauerCoeffs(s, phi.interval, spectrum(n, s)[0] * phi.coeffs)  # K phi
     x = rng.uniform(-0.99, 0.99, 100)
     resid = evaluate_expansion(back, x) - f(x)
     scale = np.max(np.abs(f(x)))
@@ -189,13 +164,24 @@ def test_polynomial_exactness_residual():
 
 
 def test_scale_invariant_solution():
+    # f on (a, b) pulled back to (-1, 1) gives the same coefficients
     s = 0.3
     n = 7
     a, b = -2.0, 5.0
-    ref_rule = gauss_jacobi(n, s)
-    mapped = map_to_interval(ref_rule, a, b)
     f = lambda t: 1.0 / (t**2 + 2.0)
-    phi_ref = solve_diagonal(forward_transform(f(ref_rule.nodes), ref_rule, s))
-    xt = 2 * (mapped.nodes - a) / (b - a) - 1
-    phi_map = solve_diagonal(forward_transform(f(xt), mapped, s))
+    phi_ref, _ = solve_on((-1.0, 1.0), s, f, n)
+    phi_map, _ = solve_on((a, b), s, lambda x: f(2 * (x - a) / (b - a) - 1), n)
     np.testing.assert_allclose(phi_map.coeffs, phi_ref.coeffs, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.75, 0.9])
+def test_solver_reproduces_closed_form_images(s):
+    # f = image of x^s (1-x)^s x^n on (0,1), so phi = x^n exactly once
+    # N >= n; an independent reference for the single-interval solve
+    x = np.linspace(0.01, 0.99, 57)
+    for n in range(11):
+        image = ts_weighted_monomial_image(n, s)
+        for resolution in (max(n, 1), n + 5):
+            phi, iterations = solve_on((0.0, 1.0), s, lambda z: polyval(z, image), resolution)
+            assert iterations == 0
+            assert np.max(np.abs(evaluate_expansion(phi, x) - x**n)) <= 1e-12

@@ -1,10 +1,11 @@
 """Every public name of the package has a caller beyond its own tests.
 
 A top-level def or class in src/fraclap/*.py whose name starts without
-an underscore must be referenced, as a whole word and outside its own
-definition, by the package itself (re-exports in __init__.py do not
-count), by the benchmark (perfbench/*.py) or by the acceptance
-criteria (tests/test_acceptance.py).
+an underscore must be referenced in code, outside its own definition,
+by the package itself (re-exports in __init__.py do not count), by the
+benchmark (perfbench/*.py) or by the acceptance criteria
+(tests/test_acceptance.py): as a name, an attribute (.name) or an
+imported name.  Docstrings, comments and strings do not count.
 The same holds for each public method or property of any class, an
 underscore class included, referenced as an attribute (.name).
 A name only its unit tests use is a liability: delete it or give it a
@@ -50,23 +51,37 @@ def public_definitions(path):
     return out
 
 
+def references(tree, name, attribute_only, skip=range(0)):
+    """Whether the code of tree refers to name on a line outside skip: as
+    an attribute (.name) or, unless attribute_only, as a bare name or an
+    imported name."""
+    for node in ast.walk(tree):
+        if getattr(node, "lineno", None) in skip:
+            continue
+        if isinstance(node, ast.Attribute) and node.attr == name:
+            return True
+        if not attribute_only and (
+            (isinstance(node, ast.Name) and node.id == name) or (isinstance(node, ast.alias) and node.name == name)
+        ):
+            return True
+    return False
+
+
 def test_every_public_name_has_a_caller():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     callers = sorted(ROOT.glob("perfbench/*.py"))
     callers.append(ROOT / "tests" / "test_acceptance.py")
-    texts = {p: p.read_text().splitlines() for p in modules + callers}
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in modules + callers}
 
     unused = []
     for module in modules:
         for name, first, last in public_definitions(module):
-            # a method or property is referenced as an attribute
-            prefix = r"\." if "." in name else r"\b"
-            word = re.compile(prefix + re.escape(name.rpartition(".")[2]) + r"\b")
-            outside = [
-                lines[: first - 1] + lines[last:] if path == module else lines
-                for path, lines in texts.items()
-            ]
-            if not any(word.search(line) for lines in outside for line in lines):
+            method = "." in name  # a method or property is referenced as an attribute
+            bare = name.rpartition(".")[2]
+            if not any(
+                references(tree, bare, method, range(first, last + 1) if path == module else range(0))
+                for path, tree in trees.items()
+            ):
                 unused.append(f"{module.stem}.{name}")
     assert unused == [], f"public names without a caller outside their own tests: {unused}"
 
