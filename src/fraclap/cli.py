@@ -91,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--rhs", help="right-hand side NAME[:params]")
         p.add_argument("--n", help="resolution INT or comma list INT,INT,...")
-        p.add_argument("--gmres-tol", type=float, dest="gmres_tol")
         if name == "convergence":
             p.add_argument("--ref-n", type=int, dest="ref_n", help="reference resolution")
         p.add_argument("--out", default="fraclap", help="output path prefix")
@@ -120,7 +119,7 @@ def _load_config(path):
 
 # The keys of a config file's [problem] section and how each is read.
 # ref_n is accepted by solve too, so one file can serve both subcommands.
-_PROBLEM_KEYS = {"s": float, "gmres_tol": float, "rhs": str, "n": str, "ref_n": int}
+_PROBLEM_KEYS = {"s": float, "rhs": str, "n": str, "ref_n": int}
 
 
 def _config_values(cfg):
@@ -165,7 +164,6 @@ def _settings(args) -> dict:
         "intervals": [(-1.0, 1.0)],
         "rhs": "constant:1",
         "n": 16,
-        "gmres_tol": 1e-13,
         "ref_n": None,
     }
     if args.config:
@@ -181,14 +179,7 @@ def _spec(settings: dict, n) -> ProblemSpec:
         rhs, label = resolve_rhs(settings["rhs"], settings["s"], domain)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return ProblemSpec(
-        s=settings["s"],
-        domain=domain,
-        rhs=rhs,
-        n=n,
-        gmres_tol=settings["gmres_tol"],
-        rhs_label=label,
-    )
+    return ProblemSpec(s=settings["s"], domain=domain, rhs=rhs, n=n, rhs_label=label)
 
 
 def _check_out(out_prefix: str, first_output: str) -> None:

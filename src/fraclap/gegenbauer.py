@@ -46,7 +46,8 @@ class GegenbauerCoeffs:
     """Coefficients against the normalized basis C~_j^{(s+1/2)}.
 
     Entry j multiplies C~_j evaluated in the reference variable
-    xt = 2(x-a)/(b-a) - 1; the fractional order s is stored as a float.
+    xt = 2(x-a)/(b-a) - 1; the fractional order s is stored as a float
+    and the interval as a pair of floats.
     """
 
     s: float
@@ -55,7 +56,8 @@ class GegenbauerCoeffs:
 
     def __post_init__(self):
         object.__setattr__(self, "s", s_value(self.s))
-        a, b = self.interval
+        a, b = (float(v) for v in self.interval)
+        object.__setattr__(self, "interval", (a, b))
         if not (math.isfinite(a) and math.isfinite(b)):
             raise DomainError(f"interval endpoints must be finite, got ({a}, {b})")
         if not a < b:

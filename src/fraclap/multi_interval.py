@@ -109,28 +109,6 @@ def _apply_coupling(kernels, offsets, weighted, c1):
     return -c1 * acc
 
 
-def apply_offdiagonal(phi, rules, s):
-    """Values of R_s phi at every node: for x = y_k^(j),
-
-        sum_{l != j} sum_i  -C_1(s) |x - y_i^(l)|^{-1-2s} phi(y_i^(l)) w_i^(l),
-
-    where the mapped Gauss-Jacobi weights w already carry the edge
-    weight omega^s.  phi holds one node-value vector per rule.  Returns
-    a list of per-interval value vectors.
-    """
-    sv = s_value(s)
-    if len(phi) != len(rules):
-        raise ValueError("need one phi block per quadrature rule")
-    phi = [np.asarray(block, dtype=float) for block in phi]
-    if any(block.size != len(rule) for block, rule in zip(phi, rules)):
-        raise ValueError("phi node values do not match rule size")
-    offsets = np.cumsum([0] + [len(rule) for rule in rules])
-    nodes = np.concatenate([rule.nodes for rule in rules])
-    weighted = np.concatenate(phi) * np.concatenate([rule.weights for rule in rules])
-    kernels = _coupling_kernels(nodes, offsets, sv)
-    return np.split(_apply_coupling(kernels, offsets, weighted, c1_constant(sv)), offsets[1:-1])
-
-
 def gmres(apply_A, rhs, tol: float = 1e-13) -> GMRESResult:
     """Matrix-free GMRES: full orthogonalization (no restart), modified
     Gram-Schmidt, Givens-rotation least squares, at most one iteration
@@ -205,9 +183,10 @@ class _Discretization:
     share a reference block, taken from gauss_basis, whose transform pair
     is applied to all of them at once as one stack, so each distinct
     resolution costs two GEMMs each way however many intervals use it.
-    coupling is K^-1 R V on coefficient vectors: node values, one kernel
-    block per interval against all later intervals (its transpose for the
-    other direction), and back to coefficients.
+    offdiagonal is R V on coefficient vectors: node values, then one
+    kernel block per interval against all later intervals (its transpose
+    for the other direction); coupling takes that back to coefficients,
+    K^-1 R V.
     """
 
     def __init__(self, domain: Domain, s, ns):
@@ -242,10 +221,16 @@ class _Discretization:
             out[rows] = ref.values(C[rows])
         return out
 
+    def offdiagonal(self, C):
+        """Concatenated node values of R omega^s phi for the expansions C:
+        at x = y_k^(j), sum over l != j and i of
+        -C_1(s) |x - y_i^(l)|^{-1-2s} phi(y_i^(l)) w_i^(l), the mapped
+        weights w carrying omega^s."""
+        return _apply_coupling(self.kernels, self.offsets, self.values(C) * self.weights, self.c1)
+
     def coupling(self, C):
         """Concatenated coefficient vectors of K^-1 R V C."""
-        weighted = self.values(C) * self.weights
-        return self.coeffs(_apply_coupling(self.kernels, self.offsets, weighted, self.c1))
+        return self.coeffs(self.offdiagonal(C))
 
     def solution_blocks(self, C):
         return tuple(
@@ -280,7 +265,7 @@ def solve(spec) -> MultiSolution:
     if len(spec.domain) == 1:
         return MultiSolution(disc.solution_blocks(C), np.array([0.0]))
 
-    result = gmres(lambda c: c + disc.coupling(c), C, tol=spec.gmres_tol)
+    result = gmres(lambda c: c + disc.coupling(c), C)
     if not result.converged:
         raise RuntimeError(
             "GMRES did not reach the requested tolerance; residual history: "

@@ -1,6 +1,6 @@
-"""Problem configuration: domain + exponent + right-hand side + solver
-knobs, plus the registry of named built-in right-hand sides used by the
-command-line driver.
+"""Problem configuration: domain + exponent + right-hand side +
+resolution, plus the registry of named built-in right-hand sides used
+by the command-line driver.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ class ProblemSpec:
     domain: Domain
     rhs: Callable
     n: tuple[int, ...] = (16,)
-    gmres_tol: float = 1e-13
     rhs_label: str = ""
 
     def __post_init__(self):
@@ -42,8 +41,6 @@ class ProblemSpec:
         if any(n < 1 for n in ns):
             raise DomainError(f"per-interval resolution must be >= 1, got {ns}")
         object.__setattr__(self, "n", ns)
-        if not 0.0 < self.gmres_tol < 1.0:
-            raise DomainError(f"gmres tolerance must be in (0, 1), got {self.gmres_tol}")
 
 
 def make_rhs(name: str, params: str = "") -> tuple[Callable, str]:

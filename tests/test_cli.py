@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import fraclap
-from fraclap import Domain, ProblemSpec, resolve_rhs, solve
+from fraclap import Domain, ProblemSpec, multi_interval, resolve_rhs, solve
 from fraclap.cli import main
 from fraclap.gegenbauer import GegenbauerCoeffs, eval_gegenbauer, evaluate_expansion
 from fraclap.sobolev_metrics import error_between
@@ -174,8 +175,6 @@ def test_parameter_on_parameterless_rhs_exit_code(tmp_path, capsys, rhs):
         ["--rhs", "polynomial"],  # no coefficients
         ["--rhs", "gegenbauer-mode"],  # no index
         ["--rhs", "gegenbauer-mode:-1"],
-        ["--gmres-tol", "0"],
-        ["--gmres-tol", "nan"],
     ],
 )
 def test_missing_or_out_of_range_value_exit_code(tmp_path, capsys, argv):
@@ -283,11 +282,12 @@ def test_unwritable_out_exit_code(tmp_path, capsys, monkeypatch, argv):
     assert not (tmp_path / "missing").exists()
 
 
-def test_solver_failure_exit_code(tmp_path, capsys):
+def test_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
     # a tolerance below rounding is never met: GMRES stops after one
     # iteration per unknown (2 x 9 here) and the solve reports failure
+    monkeypatch.setattr(multi_interval, "gmres", functools.partial(multi_interval.gmres, tol=1e-30))
     out = tmp_path / "x"
-    argv = ["solve", "--interval", "0", "1", "--interval", "1.5", "2.5", "--n", "8", "--gmres-tol", "1e-30"]
+    argv = ["solve", "--interval", "0", "1", "--interval", "1.5", "2.5", "--n", "8"]
     code = run([*argv, "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
@@ -545,6 +545,8 @@ def test_eigencheck_rejects_n_other_than_one_integer(tmp_path, capsys, n):
         ["eigencheck", "--interval", "0", "1"],
         ["eigencheck", "--rhs", "runge"],
         ["eigencheck", "--gmres-tol", "0.5"],
+        ["solve", "--gmres-tol", "1e-10"],  # the GMRES tolerance is the solver's, not an option
+        ["convergence", "--n", "8,16,32", "--gmres-tol", "1e-10"],
     ],
 )
 def test_flag_not_read_by_subcommand_exits_2(tmp_path, capsys, argv):
@@ -609,6 +611,7 @@ def test_config_interval_without_endpoint_exit_code(tmp_path, capsys):
         ("[DEFAULT]\ns = 0.3\n", "[DEFAULT]"),
         ("s = 0.3\n", "no section headers"),
         ("[problem]\ns = 0.3\njunk line\n", "'junk line"),
+        ("[problem]\ns = 0.3\ngmres_tol = 1e-13\n", "'gmres_tol' in [problem]"),
     ],
     ids=[
         "problem-dashed-key",
@@ -619,6 +622,7 @@ def test_config_interval_without_endpoint_exit_code(tmp_path, capsys):
         "default-section",
         "no-section-header",
         "unparsable-line",
+        "problem-gmres-tol",
     ],
 )
 @pytest.mark.parametrize("command", ["solve", "convergence"])

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from fraclap import gegenbauer, multi_interval
 from fraclap.gegenbauer import _ReferenceBlock, eval_gegenbauer, evaluate_expansion, gauss_basis
-from fraclap.multi_interval import Domain, apply_offdiagonal, gmres, solve
+from fraclap.multi_interval import Domain, gmres, solve
 from fraclap.oracle import PVConfig, pv_exterior
 from fraclap.problem import ProblemSpec, resolve_rhs
 from fraclap.quadrature import gauss_jacobi, map_to_interval
@@ -73,67 +73,72 @@ def test_solve_rejects_rhs_without_one_value_per_node(intervals, rhs):
 
 
 def test_offdiagonal_single_interval_zero():
-    s = 0.5
-    rules = [map_to_interval(gauss_jacobi(6, s), -1.0, 1.0)]
-    out = apply_offdiagonal([np.ones(7)], rules, s)
-    np.testing.assert_array_equal(out[0], np.zeros(7))
+    disc = multi_interval._Discretization(Domain(((-1.0, 1.0),)), 0.5, (6,))
+    out = disc.offdiagonal(np.random.default_rng(1).standard_normal(7))
+    np.testing.assert_array_equal(out, np.zeros(7))
 
 
 def test_offdiagonal_sign_for_nonnegative_density():
     # positive density on the other interval pulls the value down:
     # the cross-interval kernel contribution is negative
-    s = 0.4
-    dom = two_interval_domain()
-    rules = [map_to_interval(gauss_jacobi(8, s), a, b) for a, b in dom.intervals]
-    out = apply_offdiagonal([np.ones(9), np.ones(9)], rules, s)
-    assert np.all(out[0] < 0) and np.all(out[1] < 0)
+    disc = multi_interval._Discretization(two_interval_domain(), 0.4, (8, 8))
+    C = np.zeros(18)
+    C[disc.offsets[:-1]] = 1.0  # phi = 1/h_0 on both intervals
+    assert np.all(disc.offdiagonal(C) < 0)
 
 
 def test_offdiagonal_mirror_symmetry():
-    s = 0.35
-    dom = Domain(((-2.0, -1.0), (1.0, 2.0)))
-    rules = [map_to_interval(gauss_jacobi(10, s), a, b) for a, b in dom.intervals]
-    # even density: phi(y) = y^2
-    phi = [rule.nodes**2 for rule in rules]
-    out = apply_offdiagonal(phi, rules, s)
-    np.testing.assert_allclose(out[0], out[1][::-1], atol=1e-13)
+    # x -> -x swaps the intervals and maps C~_j to (-1)^j C~_j, so the
+    # mirrored density's values come out mirrored
+    disc = multi_interval._Discretization(Domain(((-2.0, -1.0), (1.0, 2.0))), 0.35, (10, 10))
+    c = np.random.default_rng(2).standard_normal(11)
+    out = np.split(disc.offdiagonal(np.concatenate([c, (-1.0) ** np.arange(11) * c])), 2)
+    np.testing.assert_allclose(out[0], out[1][::-1], atol=1e-13 * np.max(np.abs(out[0])))
 
 
 def test_offdiagonal_matches_exterior_oracle():
     s = 0.5
     dom = two_interval_domain()
     n = 16
-    rules = [map_to_interval(gauss_jacobi(n, s), a, b) for a, b in dom.intervals]
+    disc = multi_interval._Discretization(dom, s, (n, n))
     a0, b0 = dom.intervals[0]
     # density 1 on the left interval, zero on the right
-    out = apply_offdiagonal([np.ones(n + 1), np.zeros(n + 1)], rules, s)
+    C = np.zeros(2 * (n + 1))
+    C[0] = spectrum(0, s)[1][0]
+    out = disc.offdiagonal(C)[n + 1 :]
     u = lambda z: (np.asarray(z, float) - a0) ** s * (b0 - np.asarray(z, float)) ** s
     for k in range(0, n + 1, 5):
-        x = rules[1].nodes[k]
-        assert out[1][k] == pytest.approx(pv_exterior(u, x, s, (a0, b0)), abs=1e-6)
+        x = disc.nodes[n + 1 + k]
+        assert out[k] == pytest.approx(pv_exterior(u, x, s, (a0, b0)), abs=1e-6)
 
 
 FOUR_INTERVALS = ((-3.0, -1.5), (-1.0, 0.0), (0.2, 1.4), (2.0, 2.5))
 
 
-def test_offdiagonal_matches_pairwise_nystrom_sum():
-    # the dense reference: the Nystrom sum over every ordered pair of
-    # intervals, one pair at a time
-    s = 0.3
-    ns = (8, 0, 5, 3)
-    rules = [map_to_interval(gauss_jacobi(n, s), a, b) for n, (a, b) in zip(ns, FOUR_INTERVALS)]
-    rng = np.random.default_rng(4)
-    phi = [rng.standard_normal(len(rule)) for rule in rules]
-    want = [np.zeros(len(rule)) for rule in rules]
+def pairwise_nystrom(rules, phi, s):
+    """The dense reference for R omega^s phi at every node: the Nystrom
+    sum over every ordered pair of intervals, one pair and one target
+    node at a time, from the node values phi."""
+    out = [np.zeros(len(rule)) for rule in rules]
     for j, target in enumerate(rules):
         for ell, source in enumerate(rules):
             if ell != j:
                 for i, x in enumerate(target.nodes):
                     kernel = np.abs(x - source.nodes) ** (-1.0 - 2.0 * s)
-                    want[j][i] -= c1_constant(s) * np.sum(kernel * phi[ell] * source.weights)
-    got = apply_offdiagonal(phi, rules, s)
-    assert [g.size for g in got] == [w.size for w in want]
-    got, want = np.concatenate(got), np.concatenate(want)
+                    out[j][i] -= c1_constant(s) * np.sum(kernel * phi[ell] * source.weights)
+    return out
+
+
+def test_offdiagonal_matches_pairwise_nystrom_sum():
+    s = 0.3
+    ns = (8, 0, 5, 3)
+    disc = multi_interval._Discretization(Domain(FOUR_INTERVALS), s, ns)
+    rules = [map_to_interval(gauss_jacobi(n, s), a, b) for n, (a, b) in zip(ns, FOUR_INTERVALS)]
+    C = np.random.default_rng(4).standard_normal(disc.offsets[-1])
+    want = pairwise_nystrom(rules, np.split(disc.values(C), disc.offsets[1:-1]), s)
+    got = disc.offdiagonal(C)
+    assert got.size == sum(w.size for w in want)
+    want = np.concatenate(want)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
@@ -233,9 +238,9 @@ def test_gmres_storage_follows_iterations():
     np.testing.assert_allclose(res.x, 0.5 * b, rtol=1e-14)
 
 
-def make_spec(domain, s, rhs_name, n, tol=1e-13):
+def make_spec(domain, s, rhs_name, n):
     rhs, label = resolve_rhs(rhs_name, s, domain)
-    return ProblemSpec(s, domain, rhs, n, gmres_tol=tol, rhs_label=label)
+    return ProblemSpec(s, domain, rhs, n, rhs_label=label)
 
 
 @pytest.mark.parametrize("k", [-560, 560])
@@ -536,7 +541,7 @@ def test_concurrent_solves_share_blocks_bitwise(empty_memo, monkeypatch):
 
 def test_coefficients_solve_residual_equation():
     # phi = K^-1 (f - R Y) with Y the node values of the returned phi,
-    # rebuilt from the reference blocks' K^-1 and the standalone coupling
+    # rebuilt from the reference blocks' K^-1 and the dense pairwise sum
     s = 0.6
     spec = make_spec(EIGHT_INTERVALS, s, "runge", EIGHT_NS)
     sol = solve(spec)
@@ -544,7 +549,7 @@ def test_coefficients_solve_residual_equation():
         map_to_interval(gauss_jacobi(n, s), a, b) for n, (a, b) in zip(EIGHT_NS, EIGHT_INTERVALS.intervals)
     ]
     Y = [evaluate_expansion(block, rule.nodes) for block, rule in zip(sol.blocks, rules)]
-    RY = apply_offdiagonal(Y, rules, s)
+    RY = pairwise_nystrom(rules, Y, s)
     scale = max(np.max(np.abs(block.coeffs)) for block in sol.blocks)
     for block, rule, ry in zip(sol.blocks, rules, RY):
         expect = gauss_basis(len(rule) - 1, s).coeffs(spec.rhs(rule.nodes) - ry)

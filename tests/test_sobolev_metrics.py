@@ -58,6 +58,15 @@ def test_error_between():
         error_between(c1, coeffs([1.0], interval=(0.0, 1.0)), 0.0)
 
 
+@pytest.mark.parametrize("interval", [[0, 1], np.array([0.0, 1.0])], ids=["int-list", "ndarray"])
+def test_error_between_reads_any_spelling_of_one_interval(interval):
+    # the interval was kept as given: a list of ints was another space
+    # than (0.0, 1.0), and an ndarray made the comparison ambiguous
+    block = coeffs([1.0, 2.0], interval=interval)
+    assert block.interval == (0.0, 1.0) and all(type(v) is float for v in block.interval)
+    assert error_between(block, coeffs([1.0, 2.0], interval=(0.0, 1.0)), 0.0) == 0.0
+
+
 def test_fit_order_exact_power_laws():
     ns = np.array([8, 16, 32, 64, 128])
     assert fit_order(ns, ns**-1.5) == pytest.approx(1.5, abs=1e-10)
