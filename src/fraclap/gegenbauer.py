@@ -108,9 +108,9 @@ class _ReferenceBlock:
     The rule is exactly symmetric and P_j(-x) = (-1)^j P_j(x), so the
     even rows of T act on the sum of each node's value and its mirror
     image's, and the odd rows on their difference; the centre node of
-    an odd-sized rule is counted once.  coeffs and values work on the
-    last axis, so one call serves a stack of intervals: two GEMMs each
-    way, with the strided row views T[0::2] and T[1::2].
+    an odd-sized rule is counted once.  coeffs works on the last axis,
+    so one call serves a stack of intervals: two GEMMs, with the
+    strided row views T[0::2] and T[1::2].
     """
 
     def __init__(self, n: int, sv: float):
@@ -137,14 +137,6 @@ class _ReferenceBlock:
         out[..., 0::2] = plus @ self.table[0::2].T
         out[..., 1::2] = minus @ self.table[1::2].T
         return out / self.norms  # lambda_j of C_j(1) cancels the 1 / lambda_j of K^-1
-
-    def values(self, coeffs):
-        """Node values of sum_j c_j C~_j."""
-        scaled = coeffs * (self.lam / self.norms)
-        even = scaled[..., 0::2] @ self.table[0::2]
-        odd = scaled[..., 1::2] @ self.table[1::2]
-        below = (even - odd)[..., self.centre:][..., ::-1]
-        return np.concatenate((below, even + odd), axis=-1)
 
 
 # Bytes of reference blocks the process keeps, and how many (n, s) keys

@@ -41,7 +41,7 @@ CORPUS = pathlib.Path(__file__).with_name("corpus.json")
 
 ONE = ((-1.0, 1.0),)
 TWO = ((-1.075, -0.075), (0.075, 1.075))  # the paper's experiment: unit intervals 0.15 apart
-TOUCHING = ((-1.00005, -0.00005), (0.00005, 1.00005))  # 1e-4 apart: the coupling rule's known fault
+TOUCHING = ((-1.00005, -0.00005), (0.00005, 1.00005))  # 1e-4 apart: N = 64 does not resolve phi there
 EIGHT = tuple((1.3 * k, 1.3 * k + 1.0 + 0.1 * (k % 3)) for k in range(8))
 
 # name: (subcommand, s, intervals, right-hand side, n[, reference n])

@@ -112,43 +112,121 @@ def test_offdiagonal_matches_exterior_oracle():
         assert out[k] == pytest.approx(pv_exterior(u, x, s, (a0, b0)), abs=1e-6)
 
 
+def test_offdiagonal_matches_exterior_oracle_at_small_gap():
+    # the moments are exact at any gap; a node rule for the kernel was
+    # 1.3e-2 off at the target node nearest a 1e-4 gap
+    s, n = 0.5, 64
+    dom = two_interval_domain(gap=1e-4)
+    disc = multi_interval._Discretization(dom, s, (n, n))
+    a0, b0 = dom.intervals[0]
+    h = spectrum(2, s)[1]
+    for j, cj, phi in (
+        (0, h[0], lambda xt: np.ones_like(xt)),
+        (2, 1.0, lambda xt: eval_gegenbauer(2, s + 0.5, xt) / h[2]),
+    ):
+        C = np.zeros(2 * (n + 1))
+        C[j] = cj
+        out = disc.offdiagonal(C)[n + 1 :]
+
+        def u(z):
+            z = np.asarray(z, dtype=float)
+            return (z - a0) ** s * (b0 - z) ** s * phi(2.0 * (z - a0) / (b0 - a0) - 1.0)
+
+        for k in range(0, n + 1, 5):
+            want = pv_exterior(u, disc.nodes[n + 1 + k], s, (a0, b0))
+            assert out[k] == pytest.approx(want, rel=1e-12)
+
+
+def closed_form_moment(k, s, x):
+    """mu_k(X) = P_k X^-(k+2s+1) 2F1((k+2s+1)/2, (k+2s+2)/2; k+s+3/2; X^-2)
+    with P_k = (1+2s)_k^2 / (2^k k! (s+1)_k) 2^(2k+2s+1) B(k+s+1, k+s+1),
+    in mpmath at the working precision."""
+    s = mpmath.mpf(s)
+    p = mpmath.rf(1 + 2 * s, k) ** 2 / (2**k * mpmath.factorial(k) * mpmath.rf(s + 1, k))
+    p *= 2 ** (2 * k + 2 * s + 1) * mpmath.beta(k + s + 1, k + s + 1)
+    a = (k + 2 * s + 1) / 2
+    return p * x ** -(k + 2 * s + 1) * mpmath.hyp2f1(a, a + mpmath.mpf(0.5), k + s + 1.5, x**-2)
+
+
+def moments(s, dx, r):
+    """mu_k(1 + dx_i), k < r, as the solver forms them: a (r, points) array."""
+    mu, _ = multi_interval._exterior_moments(s, np.asarray(dx, dtype=float), np.full(len(dx), r))
+    return mu.reshape(r, len(dx))
+
+
+@pytest.mark.parametrize("s", [0.1, 0.35, 0.9])
+def test_moments_match_closed_form(s):
+    # near X = 1 the moments grow like k^(2s) (mu_60 is 987 mu_0 at
+    # s = 0.9, X = 1 + 1e-8), so each is held to 1e-13 of mu_0 or of
+    # itself, whichever is larger; X = 1 + 1e-8 and 1 + 1e-4 take the
+    # series, 1.3 and 60 the recurrence
+    dx = [1e-8, 1e-4, 0.3, 59.0]
+    got = moments(s, dx, 61)
+    with mpmath.workdps(30):
+        for i, d in enumerate(dx):
+            x = 1 + mpmath.mpf(d)
+            want = np.array([float(closed_form_moment(k, s, x)) for k in range(61)])
+            scale = np.maximum(want[0], np.abs(want))
+            assert np.all(np.abs(got[:, i] - want) <= 1e-13 * scale), d
+
+
 FOUR_INTERVALS = ((-3.0, -1.5), (-1.0, 0.0), (0.2, 1.4), (2.0, 2.5))
 
 
-def pairwise_nystrom(rules, phi, s):
-    """The dense reference for R omega^s phi at every node: the Nystrom
-    sum over every ordered pair of intervals, one pair and one target
-    node at a time, from the node values phi."""
-    out = [np.zeros(len(rule)) for rule in rules]
-    for j, target in enumerate(rules):
-        for ell, source in enumerate(rules):
+def pairwise_nystrom(targets, sources, phi, s):
+    """The dense reference for R omega^s phi at every target node: the
+    Nystrom sum over every ordered pair of intervals, one pair and one
+    target node at a time, from phi's values at the source rules' nodes."""
+    out = [np.zeros(len(nodes)) for nodes in targets]
+    for j, nodes in enumerate(targets):
+        for ell, source in enumerate(sources):
             if ell != j:
-                for i, x in enumerate(target.nodes):
+                for i, x in enumerate(nodes):
                     kernel = np.abs(x - source.nodes) ** (-1.0 - 2.0 * s)
                     out[j][i] -= c1_constant(s) * np.sum(kernel * phi[ell] * source.weights)
     return out
+
+
+def fine_rules(ns, s, intervals):
+    """Rules of 4N+64 points: on these domains their Nystrom sums are
+    exact to rounding, so they measure the coupling's exact integral."""
+    return [map_to_interval(gauss_jacobi(4 * n + 64, s), a, b) for n, (a, b) in zip(ns, intervals)]
 
 
 def test_offdiagonal_matches_pairwise_nystrom_sum():
     s = 0.3
     ns = (8, 0, 5, 3)
     disc = multi_interval._Discretization(Domain(FOUR_INTERVALS), s, ns)
-    rules = [map_to_interval(gauss_jacobi(n, s), a, b) for n, (a, b) in zip(ns, FOUR_INTERVALS)]
     C = np.random.default_rng(4).standard_normal(disc.offsets[-1])
-    want = pairwise_nystrom(rules, np.split(disc.values(C), disc.offsets[1:-1]), s)
+    sources = fine_rules(ns, s, FOUR_INTERVALS)
+    phi = [evaluate_expansion(block, rule.nodes) for block, rule in zip(disc.solution_blocks(C), sources)]
+    want = pairwise_nystrom(np.split(disc.nodes, disc.offsets[1:-1]), sources, phi, s)
     got = disc.offdiagonal(C)
     assert got.size == sum(w.size for w in want)
     want = np.concatenate(want)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
-def test_coupling_stores_each_pair_of_intervals_once():
-    # one block per interval against all later ones: no direction twice
-    ns = (8, 1, 5, 3)
+def test_coupling_stores_each_pairs_rho_cut():
+    # target j sees the first r_jl = min(N_l + 1, ceil(ln 1e16 / ln rho))
+    # coefficients of source l, rho taken at j's node nearest l; far
+    # pairs keep fewer than all of them
+    ns = (24, 1, 16, 40)
     disc = multi_interval._Discretization(Domain(FOUR_INTERVALS), 0.3, ns)
-    assert len(disc.kernels) == len(ns) - 1
-    pairs = sum((ns[j] + 1) * (ns[ell] + 1) for ell in range(len(ns)) for j in range(ell))
-    assert sum(kernel.size for kernel in disc.kernels) == pairs
+    targets = np.split(disc.nodes, disc.offsets[1:-1])
+    kept = {}
+    for j, (lo, hi, matrix, columns) in enumerate(disc.blocks):
+        assert (lo, hi) == (disc.offsets[j], disc.offsets[j + 1])
+        assert matrix.shape == (ns[j] + 1, columns.size)
+        for ell, (a, b) in enumerate(FOUR_INTERVALS):
+            if ell != j:
+                mine = columns[(columns >= disc.offsets[ell]) & (columns < disc.offsets[ell + 1])]
+                near = np.min(np.abs(targets[j] - 0.5 * (a + b))) / (0.5 * (b - a))
+                r = min(ns[ell] + 1, math.ceil(math.log(1e16) / math.log(near + math.sqrt(near * near - 1.0))))
+                np.testing.assert_array_equal(mine, disc.offsets[ell] + np.arange(r))
+                kept[j, ell] = r
+    assert sum(kept.values()) == sum(block[3].size for block in disc.blocks)
+    assert kept[3, 0] < ns[0] + 1 and kept[0, 3] < ns[3] + 1
 
 
 def test_rhs_sampled_once_at_every_node():
@@ -540,16 +618,18 @@ def test_concurrent_solves_share_blocks_bitwise(empty_memo, monkeypatch):
 
 
 def test_coefficients_solve_residual_equation():
-    # phi = K^-1 (f - R Y) with Y the node values of the returned phi,
-    # rebuilt from the reference blocks' K^-1 and the dense pairwise sum
+    # phi = K^-1 (f - R omega^s phi) at the nodes, R omega^s phi rebuilt
+    # as the dense pairwise sum over fine source rules, K^-1 from the
+    # reference blocks
     s = 0.6
     spec = make_spec(EIGHT_INTERVALS, s, "runge", EIGHT_NS)
     sol = solve(spec)
     rules = [
         map_to_interval(gauss_jacobi(n, s), a, b) for n, (a, b) in zip(EIGHT_NS, EIGHT_INTERVALS.intervals)
     ]
-    Y = [evaluate_expansion(block, rule.nodes) for block, rule in zip(sol.blocks, rules)]
-    RY = pairwise_nystrom(rules, Y, s)
+    sources = fine_rules(EIGHT_NS, s, EIGHT_INTERVALS.intervals)
+    Y = [evaluate_expansion(block, rule.nodes) for block, rule in zip(sol.blocks, sources)]
+    RY = pairwise_nystrom([rule.nodes for rule in rules], sources, Y, s)
     scale = max(np.max(np.abs(block.coeffs)) for block in sol.blocks)
     for block, rule, ry in zip(sol.blocks, rules, RY):
         expect = gauss_basis(len(rule) - 1, s).coeffs(spec.rhs(rule.nodes) - ry)
@@ -609,9 +689,6 @@ class DenseBlock:
     def coeffs(self, values):
         return (values * self.rule.weights) @ self.table.T / self.norms / self.lam
 
-    def values(self, coeffs):
-        return (coeffs / self.norms) @ self.table
-
 
 class DenseDiscretization(multi_interval._Discretization):
     """The transform pair one interval at a time through DenseBlock."""
@@ -623,10 +700,6 @@ class DenseDiscretization(multi_interval._Discretization):
     def coeffs(self, Y):
         blocks = np.split(Y, self.offsets[1:-1])
         return np.concatenate([ref.coeffs(v) for ref, v in zip(self.dense, blocks)])
-
-    def values(self, C):
-        blocks = np.split(C, self.offsets[1:-1])
-        return np.concatenate([ref.values(c) for ref, c in zip(self.dense, blocks)])
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 255, 256])
@@ -641,9 +714,6 @@ def test_half_table_matches_dense_table(n):
         v = rng.standard_normal(shape)
         want = dense.coeffs(v)
         np.testing.assert_allclose(half.coeffs(v), want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
-        c = rng.standard_normal(shape) * dense.lam
-        want = dense.values(c)
-        np.testing.assert_allclose(half.values(c), want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
 
 
 def test_block_rows_match_mpmath_at_outermost_nodes():
@@ -694,9 +764,52 @@ def test_single_interval_solve_memory():
     assert peak < 20e6
 
 
+def test_large_multi_interval_solve_memory():
+    # eight intervals at N = 1024: a node-pair kernel held 7 blocks of
+    # 1025 x 1025 doubles per later interval and peaked at 237 MB
+    domain = Domain(tuple((2.0 * k, 2.0 * k + 1.5) for k in range(8)))
+    spec = make_spec(domain, 0.5, "runge", 1024)
+    tracemalloc.start()
+    try:
+        sol = solve(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.gmres_iterations > 0
+    assert peak < 100e6
+
+
+def test_tiny_interval_next_to_a_large_one():
+    # the tiny interval sits 1e-12 from the large one, 2e-12 of the
+    # large one's half-length: a backward recurrence there would start
+    # millions of steps out, and the system is so non-normal that GMRES
+    # breaks down short of its tolerance and restarts once
+    domain = Domain(((-1.0, 0.0), (1e-12, 1.01e-10)))
+    spec = make_spec(domain, 0.5, "constant:1", 32)
+    start = time.perf_counter()
+    sol = solve(spec)
+    assert time.perf_counter() - start < 1.0
+    assert all(np.all(np.isfinite(block.coeffs)) for block in sol.blocks)
+    disc = multi_interval._Discretization(domain, 0.5, (32, 32))
+    C = np.concatenate([block.coeffs for block in sol.blocks])
+    got = disc.offdiagonal(C)
+    h = spectrum(32, 0.5)[1]
+    with mpmath.workdps(40):
+        for j, rows in ((0, range(30, 33)), (1, range(33, 36))):
+            (a, b), block = domain.intervals[1 - j], sol.blocks[1 - j]
+            for i in rows:
+                # X - 1 in the source's frame, from the exact node and endpoints
+                node = mpmath.mpf(float(disc.nodes[i]))
+                x = 1 + (a - node if j == 0 else node - b) * 2 / (mpmath.mpf(b) - a)
+                want = -c1_constant(0.5) * sum(
+                    (-1) ** (k * (j == 0)) * c * closed_form_moment(k, 0.5, x) / h[k]
+                    for k, c in enumerate(block.coeffs)
+                )
+                assert got[i] == pytest.approx(float(want), rel=1e-12)
+
+
 # Invariances of the discrete solve that the mathematics guarantees,
-# on 2-4 intervals with gaps >= 0.05 (the Nystrom coupling is not
-# accurate for nearly touching intervals).
+# on 2-4 intervals with gaps >= 0.05.
 INVARIANCE_REL = 1e-12
 
 
