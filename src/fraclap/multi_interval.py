@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gegenbauer import GegenbauerCoeffs, gauss_basis
-from .quadrature import map_to_interval, total_mass
-from .specfun import DomainError, c1_constant, s_value
+from .quadrature import map_nodes, total_mass
+from .specfun import DomainError, c1_constant, s_value, spectrum
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,6 @@ class MultiSolution:
     blocks: tuple[GegenbauerCoeffs, ...]
     residual_history: np.ndarray
 
-    def __post_init__(self):
-        if not self.blocks:
-            raise ValueError("solution needs at least one coefficient block")
-
     @property
     def gmres_iterations(self) -> int:
         """GMRES iterations taken (0 without GMRES)."""
@@ -96,10 +92,15 @@ class GMRESResult:
 # Source columns whose moments fall below 1e-16 of mu_0 are dropped:
 # ln(1e16) / ln(rho) of them.
 _LOG_CUT = math.log(1e16)
+# GMRES stops at this residual relative to the right-hand side.
+_GMRES_TOL = 1e-13
 # Where k ln(rho) <= _SERIES and ln(rho) <= _NEAR, mu_k comes from a
 # series (_near_ratios); elsewhere from the recurrence.
 _SERIES = 1.5
 _NEAR = 0.3
+# A point beyond X = 1 + _FAR is taken there: X^2 stays finite, and the
+# moments are below 1e-150 of the diagonal (mu_k falls like X^(-1-2s)).
+_FAR = 1e150
 
 
 def _log_rho(dx):
@@ -139,21 +140,20 @@ def _near_ratios(sv, dx, k):
         B_k = Gamma(-s) 2F1((k+2s+1)/2, (k+2s+2)/2; 1+s; w)
               + 4^s Gamma(s) w^-s 2F1((k+2)/2, (k+1)/2; 1-s; w) / L_k,
 
-    L_k = Gamma(k+2s+1) / k!.  The two terms of B_k have opposite signs
-    and cancel by a factor that grows like rho^(2k): by at most about
-    300 while k ln(rho) <= _SERIES.
+    L_k = Gamma(k+2s+1) / k!, the eigenvalue lambda_k of spectrum.  The
+    two terms of B_k have opposite signs and cancel by a factor that
+    grows like rho^(2k): by at most about 300 while k ln(rho) <= _SERIES.
     """
     x = 1.0 + dx
     w = dx * (2.0 + dx) / (x * x)
-    j = np.arange(1.0, np.max(k) + 1.0)
-    gamma_ratio = np.cumprod(np.concatenate(([math.gamma(2.0 * sv + 1.0)], (j + 2.0 * sv) / j)))
+    eigen = spectrum(int(np.max(k)), sv)[0]
     regular, singular = _hypergeometric(
         np.stack((0.5 * (k + 2.0 * sv + 1.0), 0.5 * (k + 2.0))),
         np.stack((0.5 * (k + 2.0 * sv + 2.0), 0.5 * (k + 1.0))),
         np.array([[1.0 + sv], [1.0 - sv]]),
         w,
     )
-    b = math.gamma(-sv) * regular + 4.0**sv * math.gamma(sv) * w**-sv / gamma_ratio[k] * singular
+    b = math.gamma(-sv) * regular + 4.0**sv * math.gamma(sv) * w**-sv / eigen[k] * singular
     first = k == 0
     out = np.empty(b.shape)
     out[first] = total_mass(sv) * math.gamma(sv + 1.5) / math.sqrt(math.pi) * x[first] ** (-2.0 * sv - 1.0) * b[first]
@@ -256,10 +256,10 @@ def _exterior_moments(sv, dx, r):
     return out, np.array(starts)
 
 
-def _arnoldi_cycle(apply_A, r, normb, tol, budget):
+def _arnoldi_cycle(apply_A, r, normb, budget):
     """One GMRES cycle from the residual r: at most budget iterations,
-    stopping once the least-squares residual is at most tol * normb or
-    the Krylov space stops growing.  Returns the correction, the
+    stopping once the least-squares residual is at most _GMRES_TOL *
+    normb or the Krylov space stops growing.  Returns the correction, the
     residuals relative to normb after each iteration, and whether it
     broke down."""
     normr = float(np.linalg.norm(r))
@@ -295,7 +295,7 @@ def _arnoldi_cycle(apply_A, r, normb, tol, budget):
         g[k] = cs[k] * g[k]
         columns.append(h)
         history.append(abs(g[k + 1]) / normb)
-        if breakdown or history[-1] <= tol:
+        if breakdown or history[-1] <= _GMRES_TOL:
             break
 
     k_done = len(columns)
@@ -309,20 +309,20 @@ def _arnoldi_cycle(apply_A, r, normb, tol, budget):
     return x, history, breakdown
 
 
-def gmres(apply_A, rhs, tol: float = 1e-13) -> GMRESResult:
+def gmres(apply_A, rhs) -> GMRESResult:
     """Matrix-free GMRES: full orthogonalization, modified Gram-Schmidt,
     Givens-rotation least squares, at most one iteration per unknown.
     The history holds the relative residual after each iteration
-    (starting at 1); happy breakdown counts as convergence.  A breakdown
-    short of tol means that the Krylov space stopped growing at rounding
-    level, as it does for a strongly non-normal operator (an interval
-    far smaller than, and close to, its neighbour); GMRES then restarts
-    from the true residual b - A x, as long as that keeps halving and
-    iterations remain.  The Hessenberg matrix grows by one column per
-    iteration, so storage follows the iterations taken, not the unknown
-    count.  b is divided by the power of two 2^e with
-    2^(e-1) <= max|b| < 2^e and x multiplied back by it, both exactly, so
-    no norm over- or underflows at any scale of b.
+    (starting at 1); it stops at _GMRES_TOL, and happy breakdown counts
+    as convergence.  A breakdown short of it means that the Krylov space
+    stopped growing at rounding level, as it does for a strongly
+    non-normal operator (an interval far smaller than, and close to, its
+    neighbour); GMRES then restarts from the true residual b - A x, as
+    long as that keeps halving and iterations remain.  The Hessenberg
+    matrix grows by one column per iteration, so storage follows the
+    iterations taken, not the unknown count.  b is divided by the power
+    of two 2^e with 2^(e-1) <= max|b| < 2^e and x multiplied back by it,
+    both exactly, so no norm over- or underflows at any scale of b.
     """
     b = np.asarray(rhs, dtype=float)
     n = b.size
@@ -336,10 +336,10 @@ def gmres(apply_A, rhs, tol: float = 1e-13) -> GMRESResult:
     r, normr = b, normb
     history = [1.0]
     while True:
-        dx, residuals, breakdown = _arnoldi_cycle(apply_A, r, normb, tol, n - len(history) + 1)
+        dx, residuals, breakdown = _arnoldi_cycle(apply_A, r, normb, n - len(history) + 1)
         x += dx
         history += residuals
-        if history[-1] <= tol or not breakdown or len(history) > n:
+        if history[-1] <= _GMRES_TOL or not breakdown or len(history) > n:
             break
         r = b - np.asarray(apply_A(x), dtype=float)
         if not np.linalg.norm(r) <= 0.5 * normr:
@@ -347,7 +347,7 @@ def gmres(apply_A, rhs, tol: float = 1e-13) -> GMRESResult:
         normr = np.linalg.norm(r)
     with np.errstate(over="ignore"):  # an x past the largest double is inf
         x = np.ldexp(x, e)
-    return GMRESResult(x, len(history) - 1, np.array(history), history[-1] <= tol)
+    return GMRESResult(x, len(history) - 1, np.array(history), history[-1] <= _GMRES_TOL)
 
 
 class _Discretization:
@@ -380,9 +380,8 @@ class _Discretization:
         for j, n in enumerate(ns):
             members.setdefault(n, []).append(j)
         refs = {n: gauss_basis(n, self.sv) for n in members}
-        rules = [map_to_interval(refs[n].rule, a, b) for n, (a, b) in zip(ns, domain.intervals)]
         self.offsets = np.cumsum([0] + [n + 1 for n in ns])
-        self.nodes = np.concatenate([rule.nodes for rule in rules])
+        self.nodes = np.concatenate([map_nodes(refs[n].rule, *iv) for n, iv in zip(ns, domain.intervals)])
         # per resolution: its block and its intervals' (intervals, n+1) positions
         self.groups = [
             (refs[n], self.offsets[js][:, None] + np.arange(n + 1)) for n, js in members.items()
@@ -394,13 +393,20 @@ class _Discretization:
     def _coupling_blocks(self, ns, h):
         """(lo, hi, matrix, columns) for each target interval j: the rows
         lo:hi of R omega^s phi are matrix @ C[columns]."""
-        a, b = np.array(self.domain.intervals).T
+        # positions in a unit where every distance is a double: halving is exact
+        span = self.domain.intervals[-1][1] - self.domain.intervals[0][0]
+        unit = 1.0 if math.isfinite(span) else 0.5
+        a, b = unit * np.array(self.domain.intervals).T
+        nodes = unit * self.nodes
         half = 0.5 * (b - a)
         m, sizes = ns.size, ns + 1
         owner = np.repeat(np.arange(m), sizes)
-        # X - 1 (or -X - 1) of every node in the frame of every source interval
+        # X - 1 (or -X - 1) of every node in the frame of every source
+        # interval, at most _FAR (a ratio past the largest double is inf)
         to_right = owner[None, :] < np.arange(m)[:, None]  # [source, node]: the source lies right
-        dx = np.where(to_right, a[:, None] - self.nodes, self.nodes - b[:, None]) / half[:, None]
+        with np.errstate(over="ignore"):
+            dx = np.where(to_right, a[:, None] - nodes, nodes - b[:, None]) / half[:, None]
+        dx = np.minimum(dx, _FAR)
         nearest = np.minimum.reduceat(dx, self.offsets[:-1], axis=1)  # [source, target]
         # ordered pairs (target, source) target-major, and their column counts
         target, source = np.nonzero(~np.eye(m, dtype=bool))

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .specfun import DomainError, pochhammer, s_value
+from .specfun import DomainError, s_value
 
 
 def image_prefactor(s) -> float:
@@ -41,14 +41,11 @@ def ln_polynomial(n: int, s) -> np.ndarray:
         return np.zeros(1)
     gs = math.gamma(sv)
     coeffs = np.empty(n)
+    acc = 1.0  # (2s)_k
     for k in range(n):
-        coeffs[k] = (
-            gs
-            * pochhammer(2.0 * sv, k)
-            / math.factorial(k)
-            * math.gamma(n - k - sv + 1.0)
-            / ((sv + k - n) * math.gamma(float(n - k)))
-        )
+        coeffs[k] = gs * acc / math.factorial(k) * math.gamma(n - k - sv + 1.0)
+        coeffs[k] /= (sv + k - n) * math.gamma(float(n - k))
+        acc *= 2.0 * sv + k
     return coeffs
 
 

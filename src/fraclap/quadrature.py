@@ -235,25 +235,31 @@ def gauss_jacobi(n: int, alpha: float, rows=None) -> QuadratureRule:
     return QuadratureRule(alpha, nodes, weights)
 
 
-def map_to_interval(rule: QuadratureRule, a: float, b: float) -> QuadratureRule:
-    """Affine image of a reference rule, integrating against (y-a)^alpha (b-y)^alpha."""
+def map_nodes(rule: QuadratureRule, a: float, b: float) -> np.ndarray:
+    """The nodes of a reference rule mapped affinely onto (a, b); DomainError
+    unless they are strictly increasing inside it in double precision, as
+    they are not on an interval short beside its offset (neighbours round
+    together) or longer than the largest double (b - a is inf)."""
     if a >= b:
         raise DomainError(f"interval endpoints must satisfy a < b, got ({a}, {b})")
     if rule.interval != (-1.0, 1.0):
         raise ValueError("only reference rules on (-1,1) can be mapped")
-    half = 0.5 * (b - a)
-    try:
-        scale = half ** (2.0 * rule.alpha + 1.0)
-    except OverflowError:
-        scale = math.inf
-    if not 0.0 < scale < math.inf:
-        raise DomainError(f"weight scale of the interval ({a}, {b}) is outside the range of a double")
-    nodes = a + half * (rule.nodes + 1.0)
-    # an interval short beside its offset rounds neighbouring nodes together
+    nodes = a + 0.5 * (b - a) * (rule.nodes + 1.0)
     if not (a < nodes[0] and nodes[-1] < b and np.all(np.diff(nodes) > 0.0)):
         raise DomainError(
             f"the {len(rule)} nodes mapped to the interval ({a}, {b}) are not strictly "
             "increasing inside it in double precision"
         )
-    weights = rule.weights * scale
-    return QuadratureRule(rule.alpha, nodes, weights, interval=(a, b))
+    return nodes
+
+
+def map_to_interval(rule: QuadratureRule, a: float, b: float) -> QuadratureRule:
+    """Affine image of a reference rule, integrating against (y-a)^alpha (b-y)^alpha."""
+    nodes = map_nodes(rule, a, b)
+    try:
+        scale = (0.5 * (b - a)) ** (2.0 * rule.alpha + 1.0)
+    except OverflowError:
+        scale = math.inf
+    if not 0.0 < scale < math.inf:
+        raise DomainError(f"weight scale of the interval ({a}, {b}) is outside the range of a double")
+    return QuadratureRule(rule.alpha, nodes, rule.weights * scale, interval=(a, b))

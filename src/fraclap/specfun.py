@@ -1,7 +1,7 @@
 """Special-function kernel: the check of the fractional order, the
-normalization C_1(s) of the singular-integral kernel, Pochhammer
-symbols, and the spectrum of the edge-weighted fractional Laplacian
-(its eigenvalues and the Gegenbauer norms).
+normalization C_1(s) of the singular-integral kernel, and the spectrum
+of the edge-weighted fractional Laplacian (its eigenvalues and the
+Gegenbauer norms).
 
 All functions here are pure; they can be called concurrently without
 restriction.
@@ -43,19 +43,6 @@ def c1_constant(s) -> float:
     """
     sv = s_value(s)
     return 2.0 ** (2.0 * sv) * sv * math.gamma(sv + 0.5) / (math.sqrt(math.pi) * math.gamma(1.0 - sv))
-
-
-def pochhammer(z: float, k: int) -> float:
-    """Rising factorial (z)_k = z (z+1) ... (z+k-1), as a running product."""
-    if k < 0:
-        raise DomainError(f"pochhammer requires k >= 0, got {k}")
-    acc = 1.0
-    for j in range(k):
-        factor = z + j
-        if factor == 0.0:
-            raise DomainError(f"pochhammer hit a zero factor at z + {j} = 0")
-        acc *= factor
-    return acc
 
 
 def spectrum(n: int, s) -> tuple[np.ndarray, np.ndarray]:

@@ -13,9 +13,11 @@ largest value, and exits 1 when any entry differs.
 Each solve entry keeps the coefficient vectors of _solution.json as
 float.hex strings, the GMRES record, and the SHA-256 of both output
 files; the convergence entry keeps the rows of _convergence.csv
-without the seconds column, and _orders.json as written.
+without the seconds column, and _orders.json as written; the
+eigencheck entry keeps _eigencheck.txt as written.
 tests/test_golden.py holds the package to the corpus at the default
-thread count, within a bound.
+thread count: the GMRES iteration counts and the eigencheck text
+exactly, the numbers within a bound.
 """
 
 import os
@@ -44,7 +46,8 @@ TWO = ((-1.075, -0.075), (0.075, 1.075))  # the paper's experiment: unit interva
 TOUCHING = ((-1.00005, -0.00005), (0.00005, 1.00005))  # 1e-4 apart: N = 64 does not resolve phi there
 EIGHT = tuple((1.3 * k, 1.3 * k + 1.0 + 0.1 * (k % 3)) for k in range(8))
 
-# name: (subcommand, s, intervals, right-hand side, n[, reference n])
+# name: (subcommand, s, intervals, right-hand side, n[, reference n]);
+# eigencheck takes no intervals and no right-hand side
 ENTRIES = {
     "one-constant": ("solve", 0.5, ONE, "constant:1", "16"),
     "one-runge": ("solve", 0.1, ((0.0, 3.0),), "runge", "64"),
@@ -59,6 +62,7 @@ ENTRIES = {
     "eight-per-interval-n": ("solve", 0.9, EIGHT, "polynomial:1,-0.2,0.03", "12,20,12,12,20,12,12,12"),
     "eight-mode": ("solve", 0.1, EIGHT, "gegenbauer-mode:2", "48"),
     "convergence-two-runge": ("convergence", 0.5, TWO, "runge", "8,16,24,32", "64"),
+    "eigencheck-half": ("eigencheck", 0.5, (), None, "2"),
 }
 
 
@@ -66,7 +70,9 @@ def argv(command, s, intervals, rhs, n, ref_n=None):
     out = [command, "--s", repr(s)]
     for a, b in intervals:
         out += ["--interval", repr(a), repr(b)]
-    out += ["--rhs", rhs, "--n", n]
+    if rhs:
+        out += ["--rhs", rhs]
+    out += ["--n", n]
     return out + (["--ref-n", ref_n] if ref_n else [])
 
 
@@ -79,6 +85,8 @@ def results(args):
         if code != 0:
             raise RuntimeError(f"fraclap {' '.join(args)} exited {code}")
         files = {path.name[2:]: path.read_bytes() for path in pathlib.Path(tmp).iterdir()}
+    if args[0] == "eigencheck":
+        return {"text": files["eigencheck.txt"].decode()}
     if args[0] == "convergence":
         lines = files["convergence.csv"].decode().splitlines()
         seconds = lines[0].split(",").index("seconds")
@@ -94,17 +102,27 @@ def results(args):
 
 
 def numbers(record):
-    """The floats of a record: one list per coefficient block, or the
-    err_L2s and err_H2ss columns."""
+    """The floats of a record: one list per coefficient block, the
+    err_L2s and err_H2ss columns, or none for eigencheck's text."""
     if "blocks" in record:
         return [[float.fromhex(v) for v in block] for block in record["blocks"]]
-    rows = record["rows"][1:]
-    return [[float(row[k]) for row in rows] for k in (1, 2)]
+    rows = record.get("rows", [])[1:]
+    return [[float(row[k]) for row in rows] for k in (1, 2)] if rows else []
+
+
+def iterations(record):
+    """The GMRES iteration counts of a record: the solve's, or the last
+    column of the convergence rows."""
+    if "blocks" in record:
+        return [record["gmres_iterations"]]
+    return [row[-1] for row in record.get("rows", [])[1:]]
 
 
 def largest_difference(want, got) -> float:
     """max |got - want| / max |want| over each block or column, at worst;
-    inf when the shapes differ."""
+    inf when the shapes, the GMRES iteration counts or the text differ."""
+    if iterations(want) != iterations(got) or want.get("text") != got.get("text"):
+        return math.inf
     want, got = numbers(want), numbers(got)
     if [len(w) for w in want] != [len(g) for g in got]:
         return math.inf

@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 import os
@@ -190,6 +189,8 @@ def test_missing_or_out_of_range_value_exit_code(tmp_path, capsys, argv):
         (["--interval", "0", "1", "--interval", "1.01", "2", "--rhs", "constant:1e308"], "Gegenbauer coefficients"),
         # the coefficients are finite, u = omega^s phi on a long interval is not
         (["--interval", "0", "1e3", "--rhs", "constant:1e306"], "sampled solution"),
+        # phi is that of (-1, 1), but omega^s on an interval this long overflows
+        (["--interval", "0", "1e308"], "sampled solution"),
     ],
 )
 def test_overflowing_solution_exit_code(tmp_path, capsys, argv, message):
@@ -209,7 +210,8 @@ def test_overflowing_rhs_reports_one_line(tmp_path, capsys):
     assert not (tmp_path / "x_solution.json").exists()
 
 
-@pytest.mark.parametrize("endpoints", [("0", "inf"), ("nan", "1"), ("0", "1e308")])
+# the length of (-1e308, 1e308) overflows, so its nodes do too
+@pytest.mark.parametrize("endpoints", [("0", "inf"), ("nan", "1"), ("-1e308", "1e308")])
 def test_unusable_endpoints_exit_code(tmp_path, capsys, endpoints):
     code = run(["solve", "--interval", *endpoints, "--n", "4", "--out", str(tmp_path / "x")])
     assert_config_error(code, capsys)
@@ -225,6 +227,23 @@ def test_negative_non_finite_endpoints_reach_validation(tmp_path, capsys, endpoi
     code = run(["solve", "--interval", *endpoints, "--n", "4", "--out", str(tmp_path / "x")])
     assert code == 2
     assert "config error: interval endpoints must be finite" in capsys.readouterr().err
+
+
+def test_solve_on_intervals_whose_weights_leave_the_doubles(tmp_path):
+    # phi lives in the interval's reference frame, so it is that of
+    # (-1, 1) however long the interval; the solver maps nodes, never
+    # weights, whose scale ((b-a)/2)^(2s+1) under- or overflows here
+    def phi(a, b):
+        domain = Domain(((a, b),))
+        rhs, _ = resolve_rhs("constant:1", 0.9, domain)
+        return solve(ProblemSpec(0.9, domain, rhs, 8)).blocks[0].coeffs
+
+    want = phi(-1.0, 1.0)
+    for b in (1e-200, 1e300):
+        assert np.array_equal(phi(0.0, b), want)
+    code = run(["solve", "--s", "0.9", "--interval", "0", "1e-200", "--n", "8", "--out", str(tmp_path / "x")])
+    assert code == 0
+    assert json.loads((tmp_path / "x_solution.json").read_text())["intervals"][0]["phi_coeffs"] == want.tolist()
 
 
 def test_colliding_nodes_exit_code(tmp_path, capsys):
@@ -285,7 +304,7 @@ def test_unwritable_out_exit_code(tmp_path, capsys, monkeypatch, argv):
 def test_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
     # a tolerance below rounding is never met: GMRES stops after one
     # iteration per unknown (2 x 9 here) and the solve reports failure
-    monkeypatch.setattr(multi_interval, "gmres", functools.partial(multi_interval.gmres, tol=1e-30))
+    monkeypatch.setattr(multi_interval, "_GMRES_TOL", 1e-30)
     out = tmp_path / "x"
     argv = ["solve", "--interval", "0", "1", "--interval", "1.5", "2.5", "--n", "8"]
     code = run([*argv, "--out", str(out)])

@@ -4,8 +4,10 @@ The corpus was written at one BLAS thread; this test runs at the
 default thread count, whose results may differ in the last bits, so it
 allows BOUND relative to each coefficient block's (or error column's)
 largest value.  The widest 1- vs 2-thread difference on the corpus is
-far below it.  A change that means to move results regenerates the
-corpus with tests/golden/generate.py and says by how much.
+far below it.  GMRES iteration counts and the eigencheck text must
+match exactly; they agree at 1 and 2 threads.  A change that means to
+move results regenerates the corpus with tests/golden/generate.py and
+says by how much.
 """
 
 import importlib.util

@@ -254,7 +254,7 @@ def test_gmres_vs_dense_lu():
     rng = np.random.default_rng(5)
     A = np.eye(20) + 0.3 * rng.standard_normal((20, 20))
     b = rng.standard_normal(20)
-    res = gmres(lambda v: A @ v, b, tol=1e-13)
+    res = gmres(lambda v: A @ v, b)
     ref = np.linalg.solve(A, b)
     assert res.converged
     np.testing.assert_allclose(res.x, ref, rtol=0, atol=1e-10 * np.max(np.abs(ref)))
@@ -332,6 +332,33 @@ def test_solve_exact_under_power_of_two_scaling_of_rhs(k):
     for block, ref in zip(sol.blocks, base.blocks, strict=True):
         assert np.array_equal(block.coeffs, 2.0**k * ref.coeffs)
     assert np.array_equal(sol.residual_history, base.residual_history)
+
+
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("k", [-1022, 1023])
+def test_solve_exact_under_extreme_power_of_two_scaling_of_domain(k, s):
+    # Omega -> 2^k Omega leaves every X, so every coefficient, bitwise as
+    # it was.  At 2^-1022 the quadrature weights underflow; at 2^1023
+    # they overflow, and so does every distance across the gap
+    domain = Domain(((-1.5, -1.0), (1.0, 1.5)))
+    base = solve(make_spec(domain, s, "constant:1", 16))
+    scaled = Domain(tuple((2.0**k * a, 2.0**k * b) for a, b in domain.intervals))
+    sol = solve(make_spec(scaled, s, "constant:1", 16))
+    assert base.gmres_iterations > 0
+    for block, ref in zip(sol.blocks, base.blocks, strict=True):
+        assert np.array_equal(block.coeffs, ref.coeffs)
+    assert np.array_equal(sol.residual_history, base.residual_history)
+
+
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+def test_far_interval_couples_without_overflow(s):
+    # (1e100, 2e100) sees (0, 1e-100) at X ~ 2e200, where X^2 overflows;
+    # from (1, 2) it is at X ~ 2e100.  Either coupling is below 1e-100,
+    # and (0, 1e-100) sees the other interval at X = 3 in both domains
+    far = solve(make_spec(Domain(((0.0, 1e-100), (1e100, 2e100))), s, "constant:1", 16))
+    near = solve(make_spec(Domain(((0.0, 1e-100), (1.0, 2.0))), s, "constant:1", 16))
+    assert np.array_equal(far.blocks[0].coeffs, near.blocks[0].coeffs)
+    np.testing.assert_allclose(far.blocks[1].coeffs, near.blocks[1].coeffs, rtol=0, atol=1e-100)
 
 
 def test_single_interval_matches_diagonal_path():

@@ -100,8 +100,9 @@ def test_map_to_interval():
 
     with pytest.raises(DomainError):
         map_to_interval(r, 2.0, 1.0)
-    # ((b-a)/2)^(2 alpha + 1) overflows, or underflows to 0; or the
-    # interval, two units in the last place wide, cannot hold 5 distinct nodes
+    # ((b-a)/2)^(2 alpha + 1) overflows or underflows to 0; b - a
+    # overflows; or the interval, two units in the last place wide,
+    # cannot hold 5 distinct nodes
     for a, b in ((0.0, 1e308), (-1e308, 1e308), (0.0, 1e-200), (1e16, 1.0000000000000004e16)):
         with pytest.raises(DomainError, match=re.escape(f"interval ({a}, {b})")):
             map_to_interval(gauss_jacobi(4, 0.9), a, b)

@@ -3,14 +3,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy.special import roots_jacobi
 
 from fraclap.specfun import (
     DomainError,
     eigenvalue_lambda,
     gegenbauer_norm_h,
-    pochhammer,
     s_value,
     spectrum,
 )
@@ -25,24 +23,6 @@ def test_s_value_rejects_out_of_range():
         with pytest.raises(DomainError):
             s_value(bad)
     assert s_value(0.5) == 0.5
-
-
-def test_pochhammer_values():
-    assert pochhammer(3.7, 0) == 1.0
-    assert pochhammer(1.0, 5) == 120.0
-    assert pochhammer(0.5, 3) == pytest.approx(1.875, rel=1e-15)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.floats(min_value=0.1, max_value=50.0),
-    st.integers(min_value=0, max_value=40),
-    st.integers(min_value=0, max_value=40),
-)
-def test_pochhammer_additive(z, j, k):
-    lhs = pochhammer(z, j + k)
-    rhs = pochhammer(z, j) * pochhammer(z + j, k)
-    assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
 def test_eigenvalue_lambda():
