@@ -66,6 +66,113 @@ def _fmt(v: float) -> str:
     return _CSV_FLOAT % v
 
 
+# _csv_rows formats |v| in [1e-280, 1e281) itself.  There 10^(15 - e),
+# its low part and the halves of its Dekker split are normal doubles;
+# the split overflows from e = -286.
+_CSV_EXP_MAX = 280
+
+
+@functools.cache
+def _csv_tables():
+    """The four-byte ASCII words that _csv_rows puts together, and
+    10^(15 - e) for e = -281..281 (index e + 281) as double-double pairs
+    hi + lo: hi correctly rounded and lo the correctly rounded rest, both
+    by exact integer arithmetic.  A space marks a byte the text drops."""
+    digits = (np.indices((10, 10, 10, 10)).reshape(4, -1).T + ord("0")).astype(np.uint8, order="C")
+
+    def words(*columns):
+        """One word per row of the byte columns (arrays or single bytes)."""
+        columns = np.broadcast_arrays(*(np.asarray(c, np.uint8) for c in columns))
+        return np.stack(columns, 1).view(np.uint32).ravel()
+
+    tens, ones = np.tile(digits[:100, 2:], (2, 1)).T  # 0..99, twice
+    # " d.d" for 0..99, then "-d.d"
+    lead = words(np.repeat(np.frombuffer(b" -", np.uint8), 100), tens, ord("."), ones)
+    # "dde+" for 0..99, then "dde-"
+    tail = words(tens, ones, ord("e"), np.repeat(np.frombuffer(b"+-", np.uint8), 100))
+    # " dd," below 100, "ddd," from 100 to 999
+    hundreds = np.where(np.arange(1000) < 100, ord(" "), digits[:1000, 1])
+    exponent = words(hundreds, digits[:1000, 2], digits[:1000, 3], ord(","))
+    pairs = []
+    for e in range(-_CSV_EXP_MAX - 1, _CSV_EXP_MAX + 2):
+        num, den = 10 ** max(15 - e, 0), 10 ** max(e - 15, 0)
+        hi = num / den
+        p, q = hi.as_integer_ratio()
+        pairs.append((hi, (num * q - p * den) / (den * q)))
+    return lead, digits.view(np.uint32).ravel(), tail, exponent, *np.array(pairs).T
+
+
+def _csv_rows(curve: np.ndarray) -> str | None:
+    """The rows of curve with every float as _CSV_FLOAT: the text of
+    (row * len(curve)) % tuple(curve.ravel().tolist()), where row is
+    _CSV_FLOAT once per column, joined by commas and ended by a newline.
+    None when it cannot round every value with certainty: a nonzero |v|
+    outside [1e-280, 1e281), or a 16-digit significand within 1e-9 of a
+    tie; the caller then formats with %.
+
+    |v| = m 10^(e - 15) with m = round(|v| 10^(15 - e)) in [10^15, 10^16).
+    e starts at floor(log10 |v|) and moves by one where the product leaves
+    that decade.  The product is formed as a double-double (Dekker's split,
+    since NumPy has no fused multiply-add), within 1e-14 of exact.
+    """
+    lead, group, tail, exponent, pow_hi, pow_lo = _csv_tables()
+    v = curve.ravel()
+    a = np.abs(v)
+    nonzero = a > 0
+    e = np.floor(np.log10(np.where(nonzero, a, 1.0)))
+    if not np.all(np.abs(e) <= _CSV_EXP_MAX):
+        return None
+    e = e.astype(np.int64)
+
+    def split(x):
+        c = 134217729.0 * x  # 2^27 + 1
+        high = c - (c - x)
+        return high, x - high
+
+    ah, al = split(a)
+
+    def significand(e):
+        """m, the rest |v| 10^(15 - e) - m in [-1/2, 1/2], and the step
+        that moves e to the decade of the product."""
+        hi, lo = pow_hi[e + _CSV_EXP_MAX + 1], pow_lo[e + _CSV_EXP_MAX + 1]
+        bh, bl = split(hi)
+        p = a * hi
+        r = np.rint(p)
+        d = (p - r) + ((((ah * bh - p) + ah * bl + al * bh) + al * bl) + a * lo)
+        rd = np.rint(d)
+        m = r.astype(np.int64) + rd.astype(np.int64)
+        rest = d - rd
+        below = nonzero & ((m < 10**15) | ((m == 10**15) & (rest < 0)))
+        return m, rest, (m > 10**16) - below.astype(np.int64)
+
+    m, rest, step = significand(e)
+    if step.any():
+        e += step
+        m, rest, step = significand(e)
+        if step.any():
+            return None
+    if np.any(np.abs(np.abs(rest) - 0.5) < 1e-9):
+        return None
+    carry = m == 10**16  # a product within 1/2 of 10^16 prints as 1.000...e(e+1)
+    m[carry] = 10**15
+    e += carry
+
+    # Six words per value: sign and d.d, three groups of four digits, two
+    # digits, e and the sign of e, then |e| and a comma (a newline ends a
+    # row).  Integer division by a constant is much faster than %.
+    fields = np.empty((*curve.shape, 6), np.uint32)
+    w = fields.reshape(-1, 6)
+    q14, q10, q6, q2 = (m // 10**k for k in (14, 10, 6, 2))
+    w[:, 0] = lead[q14 + 100 * np.signbit(v)]
+    w[:, 1] = group[q10 - 10**4 * q14]
+    w[:, 2] = group[q6 - 10**4 * q10]
+    w[:, 3] = group[q2 - 10**4 * q6]
+    w[:, 4] = tail[m - 100 * q2 + 100 * (e < 0)]
+    w[:, 5] = exponent[np.abs(e)]
+    fields.view(np.uint8)[..., -1, -1] = ord("\n")
+    return fields.tobytes().replace(b" ", b"").decode("ascii")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per subcommand, each with only the flags it reads.
@@ -218,12 +325,12 @@ def cmd_solve(spec: ProblemSpec, out_prefix: str) -> int:
         raise RuntimeError("the sampled solution overflows")
 
     with open(out_prefix + "_solution.json", "w") as fh:
-        json.dump(_solution_json(spec, sol), fh, indent=1)
+        fh.write(json.dumps(_solution_json(spec, sol), indent=1))
     row = ",".join([_CSV_FLOAT] * 3) + "\n"
     with open(out_prefix + "_curve.csv", "w") as fh:
         fh.write("x,u,phi\n")
         for curve in curves:
-            fh.write((row * len(curve)) % tuple(curve.ravel().tolist()))
+            fh.write(_csv_rows(curve) or (row * len(curve)) % tuple(curve.ravel().tolist()))
     print(
         f"solved: {sol.gmres_iterations} GMRES iterations, "
         f"residual {sol.final_residual:.3e}, {elapsed:.4f} s"
@@ -278,17 +385,14 @@ def cmd_convergence(spec: ProblemSpec, n_list, ref_n, out_prefix: str) -> int:
         fh.write("N,err_L2s,err_H2ss,seconds,gmres_iterations\n")
         for n, e1, e2, sec, iters in rows:
             fh.write(f"{n},{_fmt(e1)},{_fmt(e2)},{_fmt(sec)},{iters}\n")
+    orders = {
+        "order_l2": order_l2,
+        "order_h2s": order_h2s,
+        "super_algebraic": super_algebraic,
+        "reference_n": ref_n,
+    }
     with open(out_prefix + "_orders.json", "w") as fh:
-        json.dump(
-            {
-                "order_l2": order_l2,
-                "order_h2s": order_h2s,
-                "super_algebraic": super_algebraic,
-                "reference_n": ref_n,
-            },
-            fh,
-            indent=1,
-        )
+        fh.write(json.dumps(orders, indent=1))
     for n, e1, e2, sec, iters in rows:
         print(f"N={n:4d}  err_L2s={e1:.4e}  err_H2ss={e2:.4e}  {sec:.4f} s  GMRES iters={iters}")
     print(

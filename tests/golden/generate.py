@@ -63,6 +63,8 @@ ENTRIES = {
     "eight-mode": ("solve", 0.1, EIGHT, "gegenbauer-mode:2", "48"),
     "convergence-two-runge": ("convergence", 0.5, TWO, "runge", "8,16,24,32", "64"),
     "eigencheck-half": ("eigencheck", 0.5, (), None, "2"),
+    "tiny-fast": ("solve", 0.5, ((0.0, 1e-120),), "constant:1", "16"),
+    "tiny-fallback": ("solve", 0.9, ((0.0, 1e-160),), "constant:1", "16"),
 }
 
 

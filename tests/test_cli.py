@@ -1,15 +1,20 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import fraclap
-from fraclap import Domain, ProblemSpec, multi_interval, resolve_rhs, solve
+from fraclap import Domain, ProblemSpec, cli, multi_interval, resolve_rhs, solve
 from fraclap.cli import main
 from fraclap.gegenbauer import GegenbauerCoeffs, eval_gegenbauer, evaluate_expansion
 from fraclap.sobolev_metrics import error_between
@@ -536,6 +541,87 @@ def test_csv_bit_stable(tmp_path):
     # error columns identical; timing column may differ
     for a, b in zip(c1[1:], c2[1:]):
         assert a.split(",")[:3] == b.split(",")[:3]
+
+
+def percent_rows(curve):
+    """The rows of an (n x 3) curve as cmd_solve writes them with %."""
+    row = ",".join([cli._CSV_FLOAT] * 3) + "\n"
+    return (row * len(curve)) % tuple(curve.ravel().tolist())
+
+
+def must_format(curve):
+    """Whether _csv_rows has to format curve itself: every value is 0, or
+    lies in [1e-270, 1e270] with a 16-digit significand, taken exactly,
+    at least 1e-9 from a tie."""
+    for v in map(abs, curve.ravel().tolist()):
+        if v == 0:
+            continue
+        if not 1e-270 <= v <= 1e270:
+            return False
+        product = Fraction(v) * Fraction(10) ** (15 - Decimal(v).adjusted())
+        if abs(product % 1 - Fraction(1, 2)) < Fraction(1, 10**9):
+            return False
+    return True
+
+
+finite_bit_patterns = (
+    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]).filter(math.isfinite)
+)
+
+
+def curves(elements):
+    return hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.just(3)), elements=elements)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(curves(finite_bit_patterns), curves(st.floats(allow_nan=False, allow_infinity=False))))
+def test_csv_rows_equal_percent_formatting(curve):
+    text = cli._csv_rows(curve)
+    if text is None:
+        assert not must_format(curve)
+    else:
+        assert text == percent_rows(curve)
+
+
+@pytest.mark.parametrize(
+    "value, fast",
+    [
+        (0.0, True),
+        (-0.0, True),
+        (5e-324, False),
+        (1e-300, False),
+        (1e300, False),
+        (1234567890123456.5, False),  # a tie
+    ],
+)
+def test_csv_rows_fixed_values(value, fast):
+    curve = np.array([[value, -value, 1.0]])
+    text = cli._csv_rows(curve)
+    assert (text is not None) == fast
+    assert text is None or text == percent_rows(curve)
+
+
+def test_csv_rows_powers_of_ten():
+    """The double nearest 10^k and the one below it: those of
+    |k| <= 280 take the fast path, whether or not their rounding carries
+    (the double 1e-07 lies below 10^-7 and prints as 1.000000000000000e-07)."""
+    for k in range(-300, 301):
+        nearest = float(f"1e{k}")
+        for v in (nearest, math.nextafter(nearest, 0.0)):
+            curve = np.array([[v, -v, 0.0]])
+            text = cli._csv_rows(curve)
+            assert (text is not None) == (abs(k) <= 280), v
+            assert text is None or text == percent_rows(curve), v
+
+
+@pytest.mark.parametrize("interval", [("-1.075", "-0.075"), ("0", "1e-160")])
+def test_curve_csv_same_bytes_with_percent(tmp_path, monkeypatch, interval):
+    """(0, 1e-160) at s = 0.9 samples u at about 1e-289, which _csv_rows leaves to %."""
+    args = ["solve", "--s", "0.9", "--interval", *interval, "--rhs", "runge", "--n", "16"]
+    assert run(args + ["--out", str(tmp_path / "kernel")]) == 0
+    monkeypatch.setattr(cli, "_csv_rows", lambda curve: None)
+    assert run(args + ["--out", str(tmp_path / "percent")]) == 0
+    assert (tmp_path / "kernel_curve.csv").read_bytes() == (tmp_path / "percent_curve.csv").read_bytes()
 
 
 def test_eigencheck_command(tmp_path, capsys):
