@@ -62,10 +62,6 @@ _NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|(?i:inf|infi
 _CSV_FLOAT = "%.15e"
 
 
-def _fmt(v: float) -> str:
-    return _CSV_FLOAT % v
-
-
 # _csv_rows formats |v| in [1e-280, 1e281) itself.  There 10^(15 - e),
 # its low part and the halves of its Dekker split are normal doubles;
 # the split overflows from e = -286.
@@ -384,7 +380,7 @@ def cmd_convergence(spec: ProblemSpec, n_list, ref_n, out_prefix: str) -> int:
     with open(out_prefix + "_convergence.csv", "w") as fh:
         fh.write("N,err_L2s,err_H2ss,seconds,gmres_iterations\n")
         for n, e1, e2, sec, iters in rows:
-            fh.write(f"{n},{_fmt(e1)},{_fmt(e2)},{_fmt(sec)},{iters}\n")
+            fh.write(f"{n},{_CSV_FLOAT % e1},{_CSV_FLOAT % e2},{_CSV_FLOAT % sec},{iters}\n")
     orders = {
         "order_l2": order_l2,
         "order_h2s": order_h2s,

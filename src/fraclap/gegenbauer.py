@@ -10,14 +10,15 @@ act with the table's even and odd rows, so no pass rescales the table.
 The discrete transform pair at the Gauss-Jacobi nodes has one home: the
 reference block of (n, s) from gauss_basis, through which the solver's
 K^-1 runs.  It holds the rule, the table of P_j / P_j(1) that the rule's
-last Newton pass writes, and the spectrum; lam * coeffs(values) is the
-forward transform f_j = (1/h_j) sum_i f(x_i) C_j(x_i) w_i, exact to
-roundoff whenever deg(f) + j <= 2n+1.  The nodes are symmetric about
-0 and C_j(-x) = (-1)^j C_j(x), so the table covers only the nonnegative
-half: even modes see the sum of mirrored node values, odd modes their
-difference.  The blocks of keys
-that recur are kept and shared, read-only, between solves and threads;
-a sweep that never repeats a key holds no extra memory.
+last Newton pass writes, and the norms; coeffs(values) times the
+eigenvalues lambda_j (specfun.spectrum) is the forward transform
+f_j = (1/h_j) sum_i f(x_i) C_j(x_i) w_i, exact to roundoff whenever
+deg(f) + j <= 2n+1.  The nodes are symmetric about 0 and
+C_j(-x) = (-1)^j C_j(x), so the table covers only the nonnegative half:
+even modes see the sum of mirrored node values, odd modes their
+difference.  The blocks of keys that recur are kept and shared,
+read-only, between solves and threads; a sweep that never repeats a key
+holds no extra memory.
 
 Coefficient vectors are always stored against the reference variable
 on [-1,1]; the attached interval only enters through the affine
@@ -98,10 +99,12 @@ class _ReferenceBlock:
     Holds the Gauss-Jacobi rule, the half-width table
     T[j, i] = P_j(x_i) / P_j(1) of the Jacobi polynomials of exponents
     (s, s) on the rule's ceil((n+1)/2) nonnegative nodes, filled by the
-    rule's own last Newton pass, and the eigenvalues lambda_j.  The
-    Gegenbauer polynomial is C_j^{(s+1/2)} = C_j(1) P_j / P_j(1) with
+    rule's own last Newton pass, and the norms.  The Gegenbauer
+    polynomial is C_j^{(s+1/2)} = C_j(1) P_j / P_j(1) with
     C_j(1) = lambda_j / Gamma(2s+1), so that scale is folded into the
     norms: norms[j] = h_j Gamma(2s+1), and C~_j = lambda_j T[j] / norms[j].
+    The eigenvalues themselves are not kept: K^-1 divides by the
+    lambda_j that C_j(1) brings, and they cancel.
     K^-1 is interval-independent in this frame (affine scale
     invariance), so all intervals of resolution n share one block.
 
@@ -118,11 +121,10 @@ class _ReferenceBlock:
         self.rule = gauss_jacobi(n, sv, rows=self.table)
         self.lower = (n + 1) // 2  # nodes below 0; rule.nodes[lower:] are the rest
         self.centre = (n + 1) % 2  # 1 when 0 is a node
-        self.lam, h = spectrum(n, sv)
-        self.norms = h * math.gamma(2.0 * sv + 1.0)
-        for a in (self.table, self.lam, self.norms):  # shared between solves, as the rule is
+        self.norms = spectrum(n, sv)[1] * math.gamma(2.0 * sv + 1.0)
+        for a in (self.table, self.norms):  # shared between solves, as the rule is
             a.setflags(write=False)
-        arrays = (self.table, self.lam, self.norms, self.rule.nodes, self.rule.weights)
+        arrays = (self.table, self.norms, self.rule.nodes, self.rule.weights)
         self.nbytes = sum(a.nbytes for a in arrays)
 
     def coeffs(self, values):

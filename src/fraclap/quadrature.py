@@ -1,5 +1,5 @@
 """Gauss-Jacobi rules for the symmetric weight (1-x^2)^alpha on [-1,1],
-with affine mapping to arbitrary intervals, and jacobi_ratios, the
+the affine map of their nodes onto an interval, and jacobi_ratios, the
 recurrence they run on and the package's one evaluation of Jacobi and
 so of Gegenbauer polynomials (gegenbauer.py builds its values from it).
 
@@ -48,33 +48,29 @@ from .specfun import DomainError
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights for the weight (x-a)^alpha (b-x)^alpha on (a,b).
+    """Nodes and weights of a reference rule on (-1,1).
 
-    Reference rules live on (-1,1); mapped rules carry their interval.
-    Nodes are strictly increasing, weights positive, and the node set is
-    symmetric about the interval midpoint.
+    Nodes are strictly increasing inside (-1,1) and weights positive.
+    The solver uses one rule per (n, s) on every interval: K^-1 does not
+    depend on the interval (affine scale invariance), so only the nodes
+    are ever mapped (map_nodes).
     """
 
-    alpha: float
     nodes: np.ndarray
     weights: np.ndarray
-    interval: tuple[float, float] = (-1.0, 1.0)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-        a, b = self.interval
-        if self.alpha <= -1.0:
-            raise DomainError(f"Jacobi exponent must exceed -1, got {self.alpha}")
         if nodes.shape != weights.shape or nodes.ndim != 1 or nodes.size < 1:
             raise ValueError("nodes and weights must be matching 1-d vectors")
         # each check fails on NaN
         if not np.all(np.diff(nodes) > 0.0):
             raise ValueError("nodes must be strictly increasing")
-        if not (a < nodes[0] and nodes[-1] < b):
-            raise ValueError("nodes must lie strictly inside the interval")
+        if not (-1.0 < nodes[0] and nodes[-1] < 1.0):
+            raise ValueError("nodes must lie strictly inside (-1, 1)")
         if not np.all(weights > 0.0):
             raise ValueError("weights must be positive")
         nodes.setflags(write=False)
@@ -232,18 +228,15 @@ def gauss_jacobi(n: int, alpha: float, rows=None) -> QuadratureRule:
     u *= mass / (u.sum() + u[mirror].sum())
     nodes = np.concatenate((-x[mirror][::-1], x))
     weights = np.concatenate((u[mirror][::-1], u))
-    return QuadratureRule(alpha, nodes, weights)
+    return QuadratureRule(nodes, weights)
 
 
 def map_nodes(rule: QuadratureRule, a: float, b: float) -> np.ndarray:
     """The nodes of a reference rule mapped affinely onto (a, b); DomainError
     unless they are strictly increasing inside it in double precision, as
-    they are not on an interval short beside its offset (neighbours round
-    together) or longer than the largest double (b - a is inf)."""
-    if a >= b:
-        raise DomainError(f"interval endpoints must satisfy a < b, got ({a}, {b})")
-    if rule.interval != (-1.0, 1.0):
-        raise ValueError("only reference rules on (-1,1) can be mapped")
+    they are not for a >= b, on an interval short beside its offset
+    (neighbours round together) or longer than the largest double
+    (b - a is inf)."""
     nodes = a + 0.5 * (b - a) * (rule.nodes + 1.0)
     if not (a < nodes[0] and nodes[-1] < b and np.all(np.diff(nodes) > 0.0)):
         raise DomainError(
@@ -251,15 +244,3 @@ def map_nodes(rule: QuadratureRule, a: float, b: float) -> np.ndarray:
             "increasing inside it in double precision"
         )
     return nodes
-
-
-def map_to_interval(rule: QuadratureRule, a: float, b: float) -> QuadratureRule:
-    """Affine image of a reference rule, integrating against (y-a)^alpha (b-y)^alpha."""
-    nodes = map_nodes(rule, a, b)
-    try:
-        scale = (0.5 * (b - a)) ** (2.0 * rule.alpha + 1.0)
-    except OverflowError:
-        scale = math.inf
-    if not 0.0 < scale < math.inf:
-        raise DomainError(f"weight scale of the interval ({a}, {b}) is outside the range of a double")
-    return QuadratureRule(rule.alpha, nodes, rule.weights * scale, interval=(a, b))

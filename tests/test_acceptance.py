@@ -15,7 +15,7 @@ from fraclap.multi_interval import Domain, _Discretization, solve
 from fraclap.operator_core import monomial_operator_matrix, ts_weighted_monomial_image
 from fraclap.oracle import pv_apply, pv_exterior, weighted_mode
 from fraclap.problem import ProblemSpec, resolve_rhs
-from fraclap.quadrature import gauss_jacobi, map_to_interval, total_mass
+from fraclap.quadrature import gauss_jacobi, map_nodes, total_mass
 from fraclap.sobolev_metrics import error_between, fit_order, is_super_algebraic
 from fraclap.specfun import eigenvalue_lambda, gegenbauer_norm_h, spectrum
 
@@ -149,20 +149,22 @@ def test_criterion_7_self_adjointness(capfd):
     worst_lam = worst_gram = 0.0
     for s in (0.25, 0.5, 0.75):
         basis = gauss_basis(2 * deg + 2, s)
+        lam = spectrum(2 * deg + 2, s)[0]
         # coefficient vectors of all monomials x^i, i <= deg, by the
         # solver's transform; bilinearity extends the check to every
         # polynomial pair of degree <= deg
-        cs = [basis.lam * basis.coeffs(basis.rule.nodes**i) for i in range(deg + 1)]
+        cs = [lam * basis.coeffs(basis.rule.nodes**i) for i in range(deg + 1)]
         for ci in cs:
             for cj in cs:
-                lhs = float(np.sum((basis.lam * ci) * cj))
-                rhs = float(np.sum(ci * (basis.lam * cj)))
+                lhs = float(np.sum((lam * ci) * cj))
+                rhs = float(np.sum(ci * (lam * cj)))
                 worst_lam = max(worst_lam, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
         # without the Gegenbauer basis: S_mn = int_0^1 omega^s x^m (-Delta)^s[omega^s x^n]
         # from the monomial matrix and a 13-point rule, exact to degree 25
-        rule = map_to_interval(gauss_jacobi(12, s), 0.0, 1.0)
-        V = rule.nodes[:, None] ** np.arange(deg + 1)
-        S = V.T @ (rule.weights[:, None] * V) @ monomial_operator_matrix(deg, s)
+        rule = gauss_jacobi(12, s)
+        nodes, weights = map_nodes(rule, 0.0, 1.0), rule.weights * 0.5 ** (2.0 * s + 1.0)
+        V = nodes[:, None] ** np.arange(deg + 1)
+        S = V.T @ (weights[:, None] * V) @ monomial_operator_matrix(deg, s)
         worst_gram = max(worst_gram, float(np.max(np.abs(S - S.T)) / np.max(np.abs(S))))
     ok = max(worst_lam, worst_gram) <= 1e-11
     report(capfd, 7, ok, f"worst symmetry defect {worst_lam:.2e}, monomial Gram matrix {worst_gram:.2e}")

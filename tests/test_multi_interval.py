@@ -9,6 +9,7 @@ import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -20,7 +21,7 @@ from fraclap.gegenbauer import _ReferenceBlock, eval_gegenbauer, evaluate_expans
 from fraclap.multi_interval import Domain, gmres, solve
 from fraclap.oracle import PVConfig, pv_exterior
 from fraclap.problem import ProblemSpec, resolve_rhs
-from fraclap.quadrature import gauss_jacobi, map_to_interval
+from fraclap.quadrature import gauss_jacobi, map_nodes
 from fraclap.specfun import DomainError, c1_constant, spectrum
 
 
@@ -187,10 +188,17 @@ def pairwise_nystrom(targets, sources, phi, s):
     return out
 
 
+def weighted_rule(n, s, a, b):
+    """gauss_jacobi(n, s) mapped onto (a, b), weights and all: a rule for
+    the weight (x-a)^s (b-x)^s there."""
+    rule = gauss_jacobi(n, s)
+    return SimpleNamespace(nodes=map_nodes(rule, a, b), weights=rule.weights * (0.5 * (b - a)) ** (2.0 * s + 1.0))
+
+
 def fine_rules(ns, s, intervals):
     """Rules of 4N+64 points: on these domains their Nystrom sums are
     exact to rounding, so they measure the coupling's exact integral."""
-    return [map_to_interval(gauss_jacobi(4 * n + 64, s), a, b) for n, (a, b) in zip(ns, intervals)]
+    return [weighted_rule(4 * n + 64, s, a, b) for n, (a, b) in zip(ns, intervals)]
 
 
 def test_offdiagonal_matches_pairwise_nystrom_sum():
@@ -238,7 +246,7 @@ def test_rhs_sampled_once_at_every_node():
 
     spec = ProblemSpec(0.4, Domain(FOUR_INTERVALS[:3]), f, n=(6, 9, 6))
     solve(spec)
-    rules = [map_to_interval(gauss_jacobi(n, 0.4), a, b) for n, (a, b) in zip(spec.n, spec.domain.intervals)]
+    rules = [weighted_rule(n, 0.4, a, b) for n, (a, b) in zip(spec.n, spec.domain.intervals)]
     assert len(seen) == 1
     assert np.array_equal(seen[0], np.concatenate([rule.nodes for rule in rules]))
 
@@ -556,7 +564,7 @@ def test_memo_evicts_least_recently_used_within_budget(empty_memo, monkeypatch):
 def test_shared_block_arrays_are_read_only(empty_memo):
     empty_memo.get(9, 0.45)
     block = empty_memo.get(9, 0.45)
-    for array in (block.table, block.lam, block.norms, block.rule.nodes, block.rule.weights):
+    for array in (block.table, block.norms, block.rule.nodes, block.rule.weights):
         with pytest.raises(ValueError):
             array[0] = 1.0
 
@@ -651,15 +659,13 @@ def test_coefficients_solve_residual_equation():
     s = 0.6
     spec = make_spec(EIGHT_INTERVALS, s, "runge", EIGHT_NS)
     sol = solve(spec)
-    rules = [
-        map_to_interval(gauss_jacobi(n, s), a, b) for n, (a, b) in zip(EIGHT_NS, EIGHT_INTERVALS.intervals)
-    ]
+    rules = [weighted_rule(n, s, a, b) for n, (a, b) in zip(EIGHT_NS, EIGHT_INTERVALS.intervals)]
     sources = fine_rules(EIGHT_NS, s, EIGHT_INTERVALS.intervals)
     Y = [evaluate_expansion(block, rule.nodes) for block, rule in zip(sol.blocks, sources)]
     RY = pairwise_nystrom([rule.nodes for rule in rules], sources, Y, s)
     scale = max(np.max(np.abs(block.coeffs)) for block in sol.blocks)
-    for block, rule, ry in zip(sol.blocks, rules, RY):
-        expect = gauss_basis(len(rule) - 1, s).coeffs(spec.rhs(rule.nodes) - ry)
+    for block, n, rule, ry in zip(sol.blocks, EIGHT_NS, rules, RY):
+        expect = gauss_basis(n, s).coeffs(spec.rhs(rule.nodes) - ry)
         np.testing.assert_allclose(block.coeffs, expect, rtol=0, atol=1e-12 * scale)
 
 

@@ -136,14 +136,15 @@ def test_self_adjointness(s):
     deg = 10
     rng = np.random.default_rng(3)
     basis = gauss_basis(2 * deg + 2, s)
+    lam = spectrum(2 * deg + 2, s)[0]
 
     for _ in range(6):
         p = np.polynomial.polynomial.Polynomial(rng.standard_normal(deg + 1))
         q = np.polynomial.polynomial.Polynomial(rng.standard_normal(deg + 1))
-        cp = basis.lam * basis.coeffs(p(basis.rule.nodes))
-        cq = basis.lam * basis.coeffs(q(basis.rule.nodes))
-        lhs = float(np.sum((basis.lam * cp) * cq))
-        rhs = float(np.sum(cp * (basis.lam * cq)))
+        cp = lam * basis.coeffs(p(basis.rule.nodes))
+        cq = lam * basis.coeffs(q(basis.rule.nodes))
+        lhs = float(np.sum((lam * cp) * cq))
+        rhs = float(np.sum(cp * (lam * cq)))
         scale = max(abs(lhs), abs(rhs), 1.0)
         assert abs(lhs - rhs) <= 1e-11 * scale
 
